@@ -4,6 +4,12 @@ Composite elements are encoded mixed-radix over component indices, most
 significant digit first, so encodings are stable across runs and documented
 by the labels.  Tables are built with vectorized gathers; every constructor
 ends in exhaustive validation.
+
+Extensions record their base rings in `meta["bases"]`.  Those whose radical
+has a claimed digit-wise shape also record `dims`, `delta_digits` (digit s
+must lie in delta of `bases[delta_digits[s]]`; None leaves it free) and
+`delta_relation`: "eq" when delta is claimed to equal that set, "subset" when
+it is claimed to lie inside it.
 """
 from __future__ import annotations
 
@@ -123,7 +129,9 @@ def direct_product(parts: Sequence[FiniteRing], size_cap: int = SIZE_CAP) -> Fin
               for combo in (decode_digits(i, dims) for i in range(order))]
     name = "x".join(R.name for R in parts)
     return _validated(name, zero, one, add, mul, labels,
-                      meta={"kind": "product", "dims": dims}, size_cap=size_cap)
+                      meta={"kind": "product", "bases": tuple(parts), "dims": dims,
+                            "delta_digits": tuple(range(len(parts))), "delta_relation": "eq"},
+                      size_cap=size_cap)
 
 
 def _matrix_label(entries, base: FiniteRing, n: int) -> str:
@@ -160,7 +168,9 @@ def matrix_ring(n: int, R: FiniteRing, size_cap: int = SIZE_CAP) -> FiniteRing:
     one = encode_digits([R.one if i == j else R.zero for i in range(n) for j in range(n)], dims)
     labels = [_matrix_label(decode_digits(p, dims), R, n) for p in range(order)]
     return _validated(f"M{n}({R.name})", zero, one, add, mul, labels,
-                      meta={"kind": "matrix", "n": n, "base_order": k}, size_cap=size_cap)
+                      meta={"kind": "matrix", "n": n, "bases": (R,), "dims": dims,
+                            "delta_digits": (0,) * (n * n), "delta_relation": "eq"},
+                      size_cap=size_cap)
 
 
 def upper_triangular_ring(n: int, R: FiniteRing, size_cap: int = SIZE_CAP) -> FiniteRing:
@@ -198,8 +208,9 @@ def upper_triangular_ring(n: int, R: FiniteRing, size_cap: int = SIZE_CAP) -> Fi
 
     labels = [tri_label(p) for p in range(order)]
     return _validated(f"T{n}({R.name})", zero, one, add, mul, labels,
-                      meta={"kind": "triangular", "n": n, "base_order": k,
-                            "positions": positions}, size_cap=size_cap)
+                      meta={"kind": "triangular", "n": n, "bases": (R,), "dims": dims,
+                            "delta_digits": tuple(0 if i == j else None for i, j in positions),
+                            "delta_relation": "subset"}, size_cap=size_cap)
 
 
 @dataclass(frozen=True)
@@ -220,7 +231,7 @@ def corner_ring(R: FiniteRing, e: int, size_cap: int = SIZE_CAP) -> CornerRing:
     labels = [R.label(p) for p in elems]
     name = f"e{e}.{R.name}.e{e}"
     ring = _validated(name, index[R.zero], index[e], add, mul, labels,
-                      meta={"kind": "corner", "e": e, "embed": list(elems)},
+                      meta={"kind": "corner", "e": e, "embed": list(elems), "bases": (R,)},
                       size_cap=size_cap)
     return CornerRing(ring, tuple(elems))
 
@@ -353,7 +364,7 @@ def hst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteR
 
     labels = [h_label(p) for p in range(order)]
     return _validated(f"H({s},{t})({R.name})", zero, one, add, mul, labels,
-                      meta={"kind": "hst", "s": s, "t": t, "base_order": k},
+                      meta={"kind": "hst", "s": s, "t": t, "bases": (R,)},
                       size_cap=size_cap)
 
 
@@ -387,7 +398,8 @@ def lst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteR
 
     labels = [l_label(p) for p in range(order)]
     return _validated(f"L({s},{t})({R.name})", zero, one, add, mul, labels,
-                      meta={"kind": "lst", "s": s, "t": t, "base_order": k},
+                      meta={"kind": "lst", "s": s, "t": t, "bases": (R,), "dims": dims,
+                            "delta_digits": (0, None, 0, None, 0), "delta_relation": "eq"},
                       size_cap=size_cap)
 
 
@@ -413,9 +425,12 @@ def ks_ring(R: FiniteRing, s: int, size_cap: int = SIZE_CAP) -> FiniteRing:
     for p in range(order):
         ai, xi, yi, bi = decode_digits(p, dims)
         labels.append(f"[[{R.label(ai)},{R.label(xi)}],[{R.label(yi)},{R.label(bi)}]]")
+    meta = {"kind": "ks", "s": s, "bases": (R,), "dims": dims}
+    if s == R.zero:
+        meta.update(delta_digits=(0, None, None, 0), delta_relation="eq")
     sname = "0" if s == R.zero else str(s)
-    return _validated(f"K{sname}({R.name})", zero, one, add, mul, labels,
-                      meta={"kind": "ks", "s": s, "base_order": k}, size_cap=size_cap)
+    return _validated(f"K{sname}({R.name})", zero, one, add, mul, labels, meta,
+                      size_cap=size_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +530,9 @@ def formal_triangular(S: FiniteRing, T: FiniteRing,
         si, mi, ti = decode_digits(p, dims)
         labels.append(f"[[{S.label(si)},m{mi}],[0,{T.label(ti)}]]")
     return _validated(f"Tri({S.name},{T.name})", zero, one, add, mul, labels,
-                      meta={"kind": "formal_triangular", "dims": dims}, size_cap=size_cap)
+                      meta={"kind": "formal_triangular", "bases": (S, T), "dims": dims,
+                            "delta_digits": (0, None, 1), "delta_relation": "subset"},
+                      size_cap=size_cap)
 
 
 def trivial_morita(A: FiniteRing, B: FiniteRing,
@@ -555,7 +572,9 @@ def trivial_morita(A: FiniteRing, B: FiniteRing,
         ai, mi, ni, bi = decode_digits(p, dims)
         labels.append(f"[[{A.label(ai)},m{mi}],[n{ni},{B.label(bi)}]]")
     return _validated(f"Morita({A.name},{B.name})", zero, one, add, mul, labels,
-                      meta={"kind": "trivial_morita", "dims": dims}, size_cap=size_cap)
+                      meta={"kind": "trivial_morita", "bases": (A, B), "dims": dims,
+                            "delta_digits": (0, None, None, 1), "delta_relation": "subset"},
+                      size_cap=size_cap)
 
 
 # ---------------------------------------------------------------------------

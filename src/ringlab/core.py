@@ -141,7 +141,10 @@ _SHARED_CACHE: dict[str, dict] = {}
 
 
 def clear_shared_cache() -> None:
-    _SHARED_CACHE.clear()
+    """Empty every per-digest dict in place, so rings that already hold one
+    start cold too, and later rings with the same digest share it again."""
+    for entries in _SHARED_CACHE.values():
+        entries.clear()
 
 
 def _intern_table(rows: Sequence[Sequence[int]], pool: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -472,6 +475,8 @@ def loads_ring(text: str, size_cap: int = SIZE_CAP) -> FiniteRing:
 # element-level machinery
 
 def _cached(R: FiniteRing, key, compute):
+    # Entries derived from the right-ideal lattice carry lattice_cap in their
+    # key, so a warm entry never bypasses the cap check in the lattice search.
     cache = R.cache
     if key not in cache:
         cache[key] = compute()
@@ -575,9 +580,3 @@ def double_commutant(R: FiniteRing, a: int) -> ElementSet:
 def is_central(R: FiniteRing, a: int) -> bool:
     M = R.np_mul
     return bool(np.array_equal(M[:, a], M[a, :]))
-
-
-def center_mask(R: FiniteRing) -> int:
-    def compute():
-        return mask_of(a for a in R.elements() if is_central(R, a))
-    return _cached(R, "center_mask", compute)

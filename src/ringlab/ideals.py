@@ -17,17 +17,10 @@ import numpy as np
 
 from .core import (
     LATTICE_CAP, QUANTIFIER_CAP, CrossCheckMismatch, ElementSet, FiniteRing,
-    LatticeCap, SocleNotTwoSided, array_from_mask, bool_from_mask,
+    LatticeCap, SocleNotTwoSided, _cached, array_from_mask, bool_from_mask,
     element_set_from_mask, idempotents_mask, mask_from_bool, mask_iter,
     mask_of, units_mask)
 from .constructions import is_two_sided_mask, quotient_ring
-
-
-def _cached(R: FiniteRing, key, compute):
-    cache = R.cache
-    if key not in cache:
-        cache[key] = compute()
-    return cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +139,7 @@ def all_right_ideal_masks(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> tupl
                     ideals.add(S)
                     frontier.append(S)
         return _lex_sorted(ideals)
-    return _cached(R, "lattice_masks", compute)
+    return _cached(R, ("lattice_masks", lattice_cap), compute)
 
 
 def all_right_ideals(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> IdealLattice:
@@ -163,7 +156,7 @@ def all_right_ideals(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> IdealLatt
         ess_max = [m for m in maximal if is_essential_mask(R, m)]
         return IdealLattice(R, masks, _lex_sorted(maximal), _lex_sorted(minimal),
                             _lex_sorted(ess_max))
-    return _cached(R, "lattice", compute)
+    return _cached(R, ("lattice", lattice_cap), compute)
 
 
 def is_essential_mask(R: FiniteRing, E: int) -> bool:
@@ -193,7 +186,7 @@ def socle_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
         for s in lat.minimal:
             m = _sum_pair(R, m, s)
         return m
-    return _cached(R, "socle", compute)
+    return _cached(R, ("socle", lattice_cap), compute)
 
 
 def socle(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> ElementSet:
@@ -235,7 +228,7 @@ def jacobson_radical_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
                 f"J({R.name}): maximal-ideal intersection {sorted(mask_iter(by_lattice))} "
                 f"!= unit characterization {sorted(mask_iter(by_units))}")
         return by_lattice
-    return _cached(R, "jacobson", compute)
+    return _cached(R, ("jacobson", lattice_cap), compute)
 
 
 def jacobson_radical(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> ElementSet:
@@ -261,7 +254,7 @@ def zhou_radical_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
                 f"{sorted(mask_iter(primary))} != socle-quotient pullback "
                 f"{sorted(mask_iter(pullback))}")
         return primary
-    return _cached(R, "zhou", compute)
+    return _cached(R, ("zhou", lattice_cap), compute)
 
 
 def _zhou_by_essential(R: FiniteRing, lattice_cap: int) -> int:
@@ -322,7 +315,7 @@ def r3_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
             if all(pI * pK != n * (I & K).bit_count() for K, pK in non_summands):
                 out |= 1 << x
         return out
-    return _cached(R, ("r3", ), compute)
+    return _cached(R, ("r3", lattice_cap), compute)
 
 
 def r5_membership(R: FiniteRing, x: int, lattice_cap: int = LATTICE_CAP) -> bool:
@@ -356,7 +349,7 @@ def r5_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
             if bool(ok[z_of_y].all()):
                 out |= 1 << x
         return out
-    return _cached(R, ("r5", ), compute)
+    return _cached(R, ("r5", lattice_cap), compute)
 
 
 def r4_ideal(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> ElementSet:
@@ -420,7 +413,7 @@ def r4_ideal_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
             if found:
                 out &= P
         return out
-    return _cached(R, ("r4", ), compute)
+    return _cached(R, ("r4", lattice_cap), compute)
 
 
 # ---------------------------------------------------------------------------
@@ -428,17 +421,13 @@ def r4_ideal_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
 
 def _singular_quotient(R: FiniteRing, L: int) -> bool:
     """Is R/L singular as a right R-module (every element has essential annihilator)?"""
-    key = ("singular", L)
-    cache = R.cache
-    if key not in cache:
-        res = True
+    def compute():
         for x in R.elements():
             ann = mask_of(r for r in R.elements() if (L >> R.mul[x][r]) & 1)
             if not is_essential_mask(R, ann):
-                res = False
-                break
-        cache[key] = res
-    return cache[key]
+                return False
+        return True
+    return _cached(R, ("singular", L), compute)
 
 
 def is_delta_small_mask(R: FiniteRing, N: int, lattice_cap: int = LATTICE_CAP) -> bool:
@@ -468,7 +457,7 @@ def r2_ideal_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
             if is_delta_small_mask(R, N, lattice_cap):
                 m = _sum_pair(R, m, N)
         return m
-    return _cached(R, ("r2", ), compute)
+    return _cached(R, ("r2", lattice_cap), compute)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +477,7 @@ def delta_sharp_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
                     break
                 p = R.mul[p][x]
         return out
-    return _cached(R, "delta_sharp", compute)
+    return _cached(R, ("delta_sharp", lattice_cap), compute)
 
 
 def delta_sharp(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> ElementSet:

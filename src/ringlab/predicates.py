@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import (
     ARMENDARIZ_CAP, LATTICE_CAP, CharacterizationMismatch, CrossCheckMismatch,
-    ElementSet, FiniteRing, SizeCap, UnknownPredicate, bool_from_mask,
+    ElementSet, FiniteRing, SizeCap, UnknownPredicate, _cached, bool_from_mask,
     double_commutant_mask, idempotents_mask, mask_iter, nilpotents_mask,
 )
 from .constructions import quotient_ring
@@ -275,12 +275,10 @@ def predicate(name: str) -> Callable[..., PropertyResult]:
 
 def evaluate_predicate(R: FiniteRing, name: str, lattice_cap: int = LATTICE_CAP,
                        armendariz_cap: int = ARMENDARIZ_CAP) -> PropertyResult:
-    key = ("pred", name, armendariz_cap if name == "delta-linear-armendariz" else 0)
-    cache = R.cache
-    if key not in cache:
-        cache[key] = predicate(name)(R, lattice_cap=lattice_cap,
-                                     armendariz_cap=armendariz_cap)
-    return cache[key]
+    key = ("pred", name, lattice_cap,
+           armendariz_cap if name == "delta-linear-armendariz" else 0)
+    return _cached(R, key, lambda: predicate(name)(R, lattice_cap=lattice_cap,
+                                                   armendariz_cap=armendariz_cap))
 
 
 def property_report(R: FiniteRing, names, lattice_cap: int = LATTICE_CAP,

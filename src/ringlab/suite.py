@@ -1,35 +1,36 @@
 """Machine-checkable theorem cases run over a corpus of small rings.
 
-Each case states an implication between registered predicates, radical
-formulas, or construction transforms, and reports PASS or FAIL with the
-first counterexample.  Failures are data, never exceptions; proved claims
-that fail are build-breaking results for the caller to surface.
+Each case is a record in `CASES`: an implication between registered
+predicates, radical formulas, or construction transforms.  One runner checks
+it over the corpus and reports PASS or FAIL with the first counterexample.
+Failures are data, never exceptions; proved claims that fail are
+build-breaking results for the caller to surface.
 """
 from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
 from .core import (
-    ARMENDARIZ_CAP, LATTICE_CAP, QUANTIFIER_CAP, SIZE_CAP, TOOL_VERSION,
-    CharacterizationMismatch, CrossCheckMismatch, FiniteRing, RinglabError,
-    SizeCap, bool_from_mask, idempotents_mask, mask_iter, nilpotents_mask,
-    double_commutant_mask, units_mask, is_central, mask_of)
+    ARMENDARIZ_CAP, LATTICE_CAP, QUANTIFIER_CAP, SIZE_CAP, TOOL_VERSION, CrossCheckMismatch,
+    FiniteRing, SizeCap, array_from_mask, bool_from_mask, double_commutant_mask,
+    idempotents_mask, is_central, mask_from_bool, mask_iter, mask_of, nilpotents_mask,
+    units_mask)
 from .constructions import (
-    construct, corner_ring, decode_digits, direct_product, enumerate_unital_rings,
-    formal_triangular, hst_ring, ks_ring, lst_ring, make_zn, matrix_ring,
-    quotient_ring, trivial_morita, upper_triangular_ring)
+    construct, corner_ring, direct_product, enumerate_unital_rings, formal_triangular,
+    hst_ring, ks_ring, lst_ring, make_zn, matrix_ring, quotient_ring, trivial_morita,
+    upper_triangular_ring)
 from .ideals import (
-    all_right_ideal_masks, assert_radical_agreement, delta_sharp_mask,
-    is_semiprime_ideal, jacobson_radical_mask, socle, socle_mask,
-    zhou_radical_mask)
-from .predicates import evaluate_predicate
+    all_right_ideal_masks, assert_radical_agreement, delta_sharp_mask, is_semiprime_ideal,
+    jacobson_radical_mask, socle, socle_mask, zhou_radical_mask)
+from .predicates import PropertyResult, evaluate_predicate
 
 CORPUS_VERSION = "default-v1"
+_DR = "delta-reversible"
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,15 @@ class CorpusMember:
     params: dict = field(default_factory=dict)
 
 
+def _member(ring: FiniteRing, **params) -> CorpusMember:
+    """A member named after its ring, with kind, bases and construction
+    parameters read from ring.meta."""
+    meta = ring.meta
+    params = {k: meta[k] for k in ("n", "s", "t", "e", "embed") if k in meta} | params
+    return CorpusMember(ring.name, ring, meta.get("kind", "expr"),
+                        tuple(meta.get("bases", ())), params)
+
+
 def central_unit_pairs(R: FiniteRing) -> list[tuple[int, int]]:
     cu = [u for u in mask_iter(units_mask(R)) if is_central(R, u)]
     return [(s, t) for s in cu for t in cu]
@@ -48,46 +58,23 @@ def central_unit_pairs(R: FiniteRing) -> list[tuple[int, int]]:
 
 def default_corpus(size_cap: int = SIZE_CAP) -> list[CorpusMember]:
     """The versioned default preset, in deterministic order."""
-    members: list[CorpusMember] = []
-
-    def add(name, ring, kind, bases=(), **params):
-        members.append(CorpusMember(name, ring, kind, tuple(bases), params))
-
     zn = {k: make_zn(k) for k in range(1, 10)}
-    for k in range(1, 10):
-        add(f"Z{k}", zn[k], "zn")
+    rings = list(zn.values())
     for order in range(1, 9):
-        for ring in enumerate_unital_rings(order, up_to_iso=True):
-            add(ring.name, ring, "enumerated")
-    for k in (2, 3, 4):
-        add(f"M2(Z{k})", matrix_ring(2, zn[k], size_cap), "matrix", [zn[k]], n=2)
-    for k in (2, 3, 4):
-        add(f"T2(Z{k})", upper_triangular_ring(2, zn[k], size_cap), "triangular",
-            [zn[k]], n=2)
-    for k in (2, 3, 4):
-        add(f"K0(Z{k})", ks_ring(zn[k], zn[k].zero, size_cap), "ks", [zn[k]], s=zn[k].zero)
-    for k in (2, 3, 4):
-        for (s, t) in central_unit_pairs(zn[k]):
-            add(f"H({s},{t})(Z{k})", hst_ring(zn[k], s, t, size_cap), "hst",
-                [zn[k]], s=s, t=t)
-    for k in (2, 3, 4):
-        for (s, t) in central_unit_pairs(zn[k]):
-            add(f"L({s},{t})(Z{k})", lst_ring(zn[k], s, t, size_cap), "lst",
-                [zn[k]], s=s, t=t)
-    add("Z2xZ4", direct_product([zn[2], zn[4]], size_cap), "product", [zn[2], zn[4]])
-
-    for parent in list(members):
-        for e in mask_iter(idempotents_mask(parent.ring)):
-            corner = corner_ring(parent.ring, e, size_cap)
-            add(f"e{e}.{parent.name}.e{e}", corner.ring, "corner", [parent.ring],
-                e=e, embed=list(corner.embed), parent=parent.name)
-
+        rings += enumerate_unital_rings(order, up_to_iso=True)
+    rings += [matrix_ring(2, zn[k], size_cap) for k in (2, 3, 4)]
+    rings += [upper_triangular_ring(2, zn[k], size_cap) for k in (2, 3, 4)]
+    rings += [ks_ring(zn[k], zn[k].zero, size_cap) for k in (2, 3, 4)]
+    for build in (hst_ring, lst_ring):
+        rings += [build(zn[k], s, t, size_cap)
+                  for k in (2, 3, 4) for s, t in central_unit_pairs(zn[k])]
+    rings.append(direct_product([zn[2], zn[4]], size_cap))
+    rings += [corner_ring(R, e, size_cap).ring
+              for R in rings for e in mask_iter(idempotents_mask(R))]
     for k in (2, 3):
-        add(f"Tri(Z{k},Z{k})", formal_triangular(zn[k], zn[k], size_cap=size_cap),
-            "formal_triangular", [zn[k], zn[k]])
-        add(f"Morita(Z{k},Z{k})", trivial_morita(zn[k], zn[k], size_cap=size_cap),
-            "trivial_morita", [zn[k], zn[k]])
-    return members
+        rings.append(formal_triangular(zn[k], zn[k], size_cap=size_cap))
+        rings.append(trivial_morita(zn[k], zn[k], size_cap=size_cap))
+    return [_member(R) for R in rings]
 
 
 def build_corpus(spec: str = "default", size_cap: int = SIZE_CAP) -> tuple[str, list[CorpusMember]]:
@@ -97,20 +84,11 @@ def build_corpus(spec: str = "default", size_cap: int = SIZE_CAP) -> tuple[str, 
         return f"default ({CORPUS_VERSION})", default_corpus(size_cap)
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-        exprs = lines
+            exprs = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     else:
         exprs = [part.strip() for part in spec.split(";") if part.strip()]
-    members = []
-    for text in exprs:
-        ring = construct(text, size_cap)
-        members.append(CorpusMember(ring.name, ring, ring.meta.get("kind", "expr"),
-                                    (), {"expr": text}))
-    return spec, members
+    return spec, [_member(construct(text, size_cap), expr=text) for text in exprs]
 
-
-# ---------------------------------------------------------------------------
-# suite context
 
 @dataclass
 class SuiteContext:
@@ -118,7 +96,6 @@ class SuiteContext:
     lattice_cap: int = LATTICE_CAP
     quantifier_cap: int = QUANTIFIER_CAP
     armendariz_cap: int = ARMENDARIZ_CAP
-    errors: dict = field(default_factory=dict)
 
     def pred(self, R: FiniteRing, name: str) -> bool:
         return evaluate_predicate(R, name, self.lattice_cap, self.armendariz_cap).verdict
@@ -141,416 +118,322 @@ class CaseResult:
     observation: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
-        d = {"id": self.id, "statement": self.statement, "kind": self.kind,
-             "verdict": self.verdict, "checked": self.checked}
-        if self.counterexample is not None:
-            d["counterexample"] = self.counterexample
-        if self.observation is not None:
-            d["observation"] = self.observation
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def _fail(member: CorpusMember, detail: str, witness=None) -> dict:
-    d = {"ring": member.name, "detail": detail}
-    if witness is not None:
-        d["witness"] = [int(w) for w in witness]
-    return d
+@dataclass(frozen=True)
+class Failure:
+    """Why a conclusion fails on one subject, with an optional witness."""
+    detail: str
+    witness: Optional[tuple] = None
 
-
-def _implication_case(ctx: SuiteContext, case_id: str, statement: str,
-                      hypothesis: Callable[[FiniteRing], bool],
-                      conclusion: Callable[[FiniteRing], "object"],
-                      scope: Callable[[CorpusMember], bool] = lambda m: True,
-                      kind: str = "proved") -> CaseResult:
-    checked = 0
-    for m in ctx.members:
-        if not scope(m):
-            continue
-        try:
-            if not hypothesis(m.ring):
-                continue
-        except SizeCap:
-            continue
-        checked += 1
-        try:
-            res = conclusion(m.ring)
-        except SizeCap:
-            checked -= 1
-            continue
-        if res is True:
-            continue
-        witness = None
-        if hasattr(res, "verdict"):
-            if res.verdict:
-                continue
-            witness = res.witness
-        return CaseResult(case_id, statement, kind, "FAIL", checked,
-                          _fail(m, "conclusion fails", witness))
-    return CaseResult(case_id, statement, kind, "PASS", checked)
-
-
-# ---------------------------------------------------------------------------
-# decode helpers for radical-formula checks
 
 def _shape_mask(member: CorpusMember, ctx: SuiteContext) -> Optional[tuple[int, str]]:
-    """The claimed shape of delta for a composite member, as (mask, relation)
-    where relation is 'eq' or 'subset'(delta contained in the shape)."""
-    R = member.ring
-    kind = member.kind
-    if kind == "product":
-        dims = [B.order for B in member.bases]
-        dmasks = [ctx.delta(B) for B in member.bases]
-        m = mask_of(i for i in range(R.order)
-                    if all((dm >> d) & 1 for dm, d in zip(dmasks, decode_digits(i, dims))))
-        return m, "eq"
-    if kind == "matrix":
-        base = member.bases[0]
-        dims = [base.order] * (member.params["n"] ** 2)
-        dmask = ctx.delta(base)
-        m = mask_of(i for i in range(R.order)
-                    if all((dmask >> d) & 1 for d in decode_digits(i, dims)))
-        return m, "eq"
-    if kind == "triangular":
-        base = member.bases[0]
-        n = member.params["n"]
-        positions = R.meta["positions"]
-        dims = [base.order] * len(positions)
-        dmask = ctx.delta(base)
-        diag = [s for s, (i, j) in enumerate(positions) if i == j]
-        m = mask_of(p for p in range(R.order)
-                    if all((dmask >> decode_digits(p, dims)[s]) & 1 for s in diag))
-        return m, "subset"
-    if kind == "hst":
-        base = member.bases[0]
-        s, t = member.params["s"], member.params["t"]
-        dims = [base.order] * 3
-        dmask = ctx.delta(base)
-        def ok(p):
-            c, d, e = decode_digits(p, dims)
-            a = base.add[d][base.mul[s][c]]
-            f = base.sub(d, base.mul[t][e])
-            return ((dmask >> a) & 1) and ((dmask >> d) & 1) and ((dmask >> f) & 1)
-        return mask_of(p for p in range(R.order) if ok(p)), "eq"
-    if kind == "lst":
-        base = member.bases[0]
-        dims = [base.order] * 5
-        dmask = ctx.delta(base)
-        m = mask_of(p for p in range(R.order)
-                    if all((dmask >> decode_digits(p, dims)[s]) & 1 for s in (0, 2, 4)))
-        return m, "eq"
-    if kind == "ks" and member.params.get("s") == member.bases[0].zero:
-        base = member.bases[0]
-        dims = [base.order] * 4
-        dmask = ctx.delta(base)
-        m = mask_of(p for p in range(R.order)
-                    if all((dmask >> decode_digits(p, dims)[s]) & 1 for s in (0, 3)))
-        return m, "eq"
-    if kind == "formal_triangular":
-        S, T = member.bases
-        dims = R.meta["dims"]
-        dS, dT = ctx.delta(S), ctx.delta(T)
-        m = mask_of(p for p in range(R.order)
-                    if ((dS >> decode_digits(p, dims)[0]) & 1)
-                    and ((dT >> decode_digits(p, dims)[2]) & 1))
-        return m, "subset"
-    if kind == "trivial_morita":
-        A, B = member.bases
-        dims = R.meta["dims"]
-        dA, dB = ctx.delta(A), ctx.delta(B)
-        m = mask_of(p for p in range(R.order)
-                    if ((dA >> decode_digits(p, dims)[0]) & 1)
-                    and ((dB >> decode_digits(p, dims)[3]) & 1))
-        return m, "subset"
-    if kind == "corner":
-        parent = member.bases[0]
-        e = member.params["e"]
-        embed = member.params["embed"]
-        dparent = ctx.delta(parent)
-        expected_parent_side = {parent.mul[parent.mul[e][x]][e]
-                                for x in mask_iter(dparent)}
-        m = mask_of(i for i, p in enumerate(embed) if p in expected_parent_side)
-        return m, "eq"
-    return None
+    """The shape of delta that the member's construction claims, read from
+    ring.meta, as (mask, relation) where relation is 'eq' or 'subset' (delta
+    contained in the shape); None if the construction claims none."""
+    R, meta = member.ring, member.ring.meta
+    if meta.get("kind") == "corner":
+        # e delta(P) e, carried into the corner by the embedding
+        P, e = meta["bases"][0], meta["e"]
+        side = {P.mul[P.mul[e][x]][e] for x in mask_iter(ctx.delta(P))}
+        return mask_of(i for i, p in enumerate(meta["embed"]) if p in side), "eq"
+    if meta.get("kind") == "hst":
+        # free digits (c, d, e); the entries a = d + sc, d and f = d - te lie in delta
+        B, s, t = meta["bases"][0], meta["s"], meta["t"]
+        c, d, e = np.unravel_index(np.arange(R.order), (B.order,) * 3)
+        A, M, neg = B.np_add, B.np_mul, np.asarray(B.neg)
+        in_d = bool_from_mask(ctx.delta(B), B.order)
+        return mask_from_bool(in_d[A[d, M[s][c]]] & in_d[d] & in_d[A[d, neg[M[t][e]]]]), "eq"
+    if "delta_digits" not in meta:
+        return None
+    ok = np.ones(R.order, dtype=bool)
+    digits = np.unravel_index(np.arange(R.order), meta["dims"])
+    for b, digit in zip(meta["delta_digits"], digits):
+        if b is not None:
+            B = meta["bases"][b]
+            ok &= bool_from_mask(ctx.delta(B), B.order)[digit]
+    return mask_from_bool(ok), meta["delta_relation"]
 
 
-def _formula_case(ctx: SuiteContext, case_id: str, statement: str,
-                  kinds: tuple[str, ...], kind: str = "proved") -> CaseResult:
+@dataclass(frozen=True)
+class Case:
+    """A suite case as data: `conclusion` must hold for every subject that
+    satisfies `hypothesis`.  Without a `scope` the subjects are the corpus
+    rings, one evaluation per distinct table; with one they are the members of
+    those kinds, whose bases and meta the parts may read.  A part is a
+    predicate name or a function of (ctx, subject); a conclusion returns a
+    bool or PropertyResult (failing with `detail`), a Failure, or a pair
+    (instances checked, Failure or None).  `run` replaces the corpus walk."""
+    id: str
+    statement: str
+    conclusion: Union[str, Callable, None] = None
+    hypothesis: Union[str, Callable, None] = None
+    scope: tuple[str, ...] = ()
+    detail: str = "conclusion fails"
+    kind: str = "proved"
+    run: Optional[Callable[[SuiteContext, "Case"], CaseResult]] = None
+
+
+def _evaluate(ctx: SuiteContext, case: Case, subject) -> tuple[int, Optional[Failure]]:
+    """(instances checked, failure or None) of one case on one subject."""
+    hyp, concl = case.hypothesis, case.conclusion
+    try:
+        if hyp is not None and not (ctx.pred(subject, hyp) if isinstance(hyp, str)
+                                    else hyp(ctx, subject)):
+            return 0, None
+        res = ctx.pred_result(subject, concl) if isinstance(concl, str) else concl(ctx, subject)
+    except SizeCap:
+        return 0, None
+    if isinstance(res, tuple):
+        return res
+    if isinstance(res, PropertyResult):
+        res = res.verdict or Failure(case.detail, res.witness)
+    if isinstance(res, Failure):
+        return 1, res
+    return 1, None if res else Failure(case.detail)
+
+
+def _tally(case: Case, outcomes: Iterable, observation=None) -> CaseResult:
+    """Make the CaseResult of every case: sum the instances checked over
+    (member, checked, failure) outcomes and stop at the first failure."""
     checked = 0
-    for m in ctx.members:
-        if m.kind not in kinds:
-            continue
-        if m.kind == "ks" and m.params.get("s") != m.bases[0].zero:
-            continue
-        shape = _shape_mask(m, ctx)
-        if shape is None:
-            continue
+    for member, n, failure in outcomes:
+        checked += n
+        if failure is not None:
+            counterexample = {"ring": member.name, "detail": failure.detail}
+            if failure.witness is not None:
+                counterexample["witness"] = [int(w) for w in failure.witness]
+            return CaseResult(case.id, case.statement, case.kind, "FAIL", checked,
+                              counterexample)
+    return CaseResult(case.id, case.statement, case.kind, "PASS", checked, None, observation)
+
+
+def _run_case(ctx: SuiteContext, case: Case, ring_outcomes: dict) -> CaseResult:
+    """Walk the corpus in order; a ring-level case repeats the outcome of each
+    member's table, evaluated once by _warm."""
+    if case.run is not None:
+        return case.run(ctx, case)
+    if not case.scope:
+        return _tally(case, ((m, *ring_outcomes[case.id, m.ring.digest]) for m in ctx.members))
+    return _tally(case, ((m, *_evaluate(ctx, case, m)) for m in ctx.members
+                         if m.kind in case.scope))
+
+
+def _radicals_agree(ctx, R):
+    try:
+        assert_radical_agreement(R, ctx.lattice_cap, ctx.quantifier_cap)
+    except CrossCheckMismatch as exc:
+        return Failure(str(exc))
+    return True
+
+
+def _sharp_is_delta(ctx, R) -> bool:
+    return delta_sharp_mask(R, ctx.lattice_cap) == ctx.delta(R)
+
+
+def _ideal_products(ctx, R):
+    """T9, one instance per two-sided ideal I."""
+    in_d = bool_from_mask(ctx.delta(R), R.order)
+    M = R.np_mul
+    checked = 0
+    for I in all_right_ideal_masks(R, ctx.lattice_cap):
+        arr = array_from_mask(I, R.order)
+        in_I = bool_from_mask(I, R.order)
+        if not in_I[M[:, arr]].all():
+            continue                    # not a left ideal
         checked += 1
-        want, relation = shape
-        got = ctx.delta(m.ring)
-        ok = (got == want) if relation == "eq" else ((got | want) == want)
-        if not ok:
-            sym = "=" if relation == "eq" else "subset of"
-            diff = (got & ~want) or (want & ~got)
-            witness = sorted(mask_iter(diff))[:4]
-            return CaseResult(case_id, statement, kind, "FAIL", checked,
-                              _fail(m, f"delta is not {sym} the claimed shape "
-                                       f"(|delta|={got.bit_count()}, |shape|={want.bit_count()})",
-                                    witness))
-    return CaseResult(case_id, statement, kind, "PASS", checked)
+        sub = M[np.ix_(arr, arr)]
+        bad = (sub == R.zero) & ~(in_d[sub.T] & in_I[sub.T])
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            return checked, Failure("product escapes I intersect delta", (arr[i], arr[j]))
+    return checked, None
 
 
-# ---------------------------------------------------------------------------
-# the theorem registry
-
-def _two_sided_masks(R: FiniteRing, lattice_cap: int) -> list[int]:
-    cache = R.cache
-    if "two_sided" not in cache:
-        M = R.np_mul
-        out = []
-        for m in all_right_ideal_masks(R, lattice_cap):
-            arr = np.fromiter(mask_iter(m), dtype=np.int64, count=m.bit_count())
-            inm = bool_from_mask(m, R.order)
-            if bool(inm[M[:, arr]].all()):
-                out.append(m)
-        cache["two_sided"] = out
-    return cache["two_sided"]
-
-
-def _case_t1(ctx: SuiteContext) -> CaseResult:
-    statement = ("The five characterizations of delta(R) agree: essential-maximal "
-                 "intersection, socle-quotient pullback, the summand-forcing set, "
-                 "the complement-in-socle set, and (on small rings) the largest "
-                 "delta-small right ideal and the annihilator-of-singular-simple "
-                 "intersection.")
-    checked = 0
-    for m in ctx.members:
-        checked += 1
-        try:
-            assert_radical_agreement(m.ring, ctx.lattice_cap, ctx.quantifier_cap)
-        except CrossCheckMismatch as exc:
-            return CaseResult("T1", statement, "proved", "FAIL", checked,
-                              _fail(m, str(exc)))
-    return CaseResult("T1", statement, "proved", "PASS", checked)
+def _quasipolar_transfer(ctx, R):
+    """T17: a quasipolar ring (the counted instance) is delta-reversible, and on
+    every ring the spectral idempotent of a nilpotent lies in delta."""
+    checked = int(ctx.pred(R, "delta-quasipolar"))
+    res = ctx.pred_result(R, _DR)
+    if checked and not res.verdict:
+        return 1, Failure("delta-quasipolar but not delta-reversible", res.witness)
+    in_d = bool_from_mask(ctx.delta(R), R.order)
+    idem = list(mask_iter(idempotents_mask(R)))
+    for a in mask_iter(nilpotents_mask(R)):
+        escaping = [p for p in idem if in_d[R.add[a][p]] and not in_d[p]]
+        dc = double_commutant_mask(R, a) if escaping else 0
+        p = next((p for p in escaping if (dc >> p) & 1), None)
+        if p is not None:
+            return checked, Failure("spectral idempotent of nilpotent escapes delta", (a, p))
+    return checked, None
 
 
-def _case_t2(ctx: SuiteContext) -> CaseResult:
-    statement = "delta(R) is a semiprime ideal."
-    checked = 0
-    for m in ctx.members:
-        checked += 1
-        if not is_semiprime_ideal(m.ring, ctx.delta(m.ring)):
-            return CaseResult("T2", statement, "proved", "FAIL", checked,
-                              _fail(m, "aRa inside delta but a outside delta"))
-    return CaseResult("T2", statement, "proved", "PASS", checked)
+def _in_shape(ctx, m):
+    want, relation = _shape_mask(m, ctx)
+    got = ctx.delta(m.ring)
+    if got == want if relation == "eq" else (got | want) == want:
+        return True
+    sym = "=" if relation == "eq" else "subset of"
+    diff = (got & ~want) or (want & ~got)
+    return Failure(f"delta is not {sym} the claimed shape "
+                   f"(|delta|={got.bit_count()}, |shape|={want.bit_count()})",
+                   sorted(mask_iter(diff))[:4])
 
 
-def _case_t5(ctx: SuiteContext) -> CaseResult:
-    statement = "If R/socle(R) is J-reversible then R is delta-reversible."
-    checked = 0
-    for m in ctx.members:
-        R = m.ring
-        q = quotient_ring(R, socle(R, ctx.lattice_cap))
-        if not ctx.pred(q.ring, "j-reversible"):
-            continue
-        checked += 1
-        res = ctx.pred_result(R, "delta-reversible")
-        if not res.verdict:
-            return CaseResult("T5", statement, "proved", "FAIL", checked,
-                              _fail(m, "quotient J-reversible but R not delta-reversible",
-                                    res.witness))
-    return CaseResult("T5", statement, "proved", "PASS", checked)
+def _base_transfer(ctx, m):
+    want, got = all(ctx.pred(B, _DR) for B in m.bases), ctx.pred(m.ring, _DR)
+    return want == got or Failure(f"base delta-reversible={want} but extension={got}")
 
 
-def _case_t9(ctx: SuiteContext) -> CaseResult:
-    statement = ("If R is delta-reversible then within every two-sided ideal I, "
-                 "ab = 0 with a, b in I forces ba into I intersect delta(R).")
-    checked = 0
-    for m in ctx.members:
-        R = m.ring
-        if not ctx.pred(R, "delta-reversible"):
-            continue
-        inter_ok = bool_from_mask(ctx.delta(R), R.order)
-        M = R.np_mul
-        for I in _two_sided_masks(R, ctx.lattice_cap):
-            checked += 1
-            arr = np.fromiter(mask_iter(I), dtype=np.int64, count=I.bit_count())
-            sub = M[np.ix_(arr, arr)]
-            in_I = bool_from_mask(I, R.order)
-            bad = (sub == R.zero) & ~(inter_ok[sub.T] & in_I[sub.T])
-            if bool(bad.any()):
-                i, j = np.argwhere(bad)[0]
-                return CaseResult("T9", statement, "proved", "FAIL", checked,
-                                  _fail(m, "product escapes I intersect delta",
-                                        (int(arr[i]), int(arr[j]))))
-    return CaseResult("T9", statement, "proved", "PASS", checked)
+def _transfer_and_shape(ctx, m):
+    res = _base_transfer(ctx, m)
+    return _in_shape(ctx, m) if res is True else res
 
 
-def _case_t10(ctx: SuiteContext) -> CaseResult:
-    statement = ("A finite direct product is delta-reversible iff every factor is, "
-                 "and delta of the product is the product of the deltas.")
-    bases = [m for m in ctx.members if m.kind in ("zn", "enumerated") and m.ring.order <= 8]
-    checked = 0
-    for i, ma in enumerate(bases):
-        for mb in bases[i:]:
-            if ma.ring.order * mb.ring.order > 64:
-                continue
-            checked += 1
-            P = direct_product([ma.ring, mb.ring])
-            want = ctx.pred(ma.ring, "delta-reversible") and ctx.pred(mb.ring, "delta-reversible")
-            got = ctx.pred(P, "delta-reversible")
-            if want != got:
-                return CaseResult("T10", statement, "proved", "FAIL", checked,
-                                  _fail(CorpusMember(P.name, P, "product"),
-                                        f"factors say {want}, product says {got}"))
-            dims = [ma.ring.order, mb.ring.order]
-            da, db = ctx.delta(ma.ring), ctx.delta(mb.ring)
-            shape = mask_of(p for p in range(P.order)
-                            if ((da >> decode_digits(p, dims)[0]) & 1)
-                            and ((db >> decode_digits(p, dims)[1]) & 1))
-            if ctx.delta(P) != shape:
-                return CaseResult("T10", statement, "proved", "FAIL", checked,
-                                  _fail(CorpusMember(P.name, P, "product"),
-                                        "delta(product) differs from product of deltas"))
-    return CaseResult("T10", statement, "proved", "PASS", checked)
+def _is_k0(ctx, m) -> bool:
+    return m.params["s"] == m.bases[0].zero
 
 
-def _case_t11(ctx: SuiteContext) -> CaseResult:
-    statement = "R is delta-reversible iff eRe is delta-reversible for every idempotent e."
-    corners: dict[str, list[CorpusMember]] = {}
+def _block_transfer(ctx, m):
+    want, _ = _shape_mask(m, ctx)
+    if (ctx.delta(m.ring) | want) != want:
+        return Failure("delta escapes the block containment shape")
+    return (not ctx.pred(m.ring, _DR) or all(ctx.pred(B, _DR) for B in m.bases)
+            or Failure("ring delta-reversible but a component is not"))
+
+
+def _product_pairs(ctx: SuiteContext, case: Case) -> CaseResult:
+    """T10 over the products of two small corpus rings, built here."""
+    small = [m.ring for m in ctx.members if m.kind in ("zn", "enumerated") and m.ring.order <= 8]
+    products = (_member(direct_product([A, B])) for i, A in enumerate(small)
+                for B in small[i:] if A.order * B.order <= 64)
+    return _tally(case, ((P, *_evaluate(ctx, case, P)) for P in products))
+
+
+def _corner_groups(ctx: SuiteContext, case: Case) -> CaseResult:
+    """T11 once per member ring whose corners are members too."""
+    groups: dict[str, list[CorpusMember]] = {}
     for m in ctx.members:
         if m.kind == "corner":
-            corners.setdefault(m.params["parent"], []).append(m)
-    by_name = {m.name: m for m in ctx.members}
-    checked = 0
-    for parent_name, corner_members in corners.items():
-        parent = by_name[parent_name]
-        checked += 1
-        want = ctx.pred(parent.ring, "delta-reversible")
-        for cm in corner_members:
-            got = ctx.pred(cm.ring, "delta-reversible")
-            if want and not got:
-                return CaseResult("T11", statement, "proved", "FAIL", checked,
-                                  _fail(cm, "parent delta-reversible, corner not"))
-        if not want and all(ctx.pred(cm.ring, "delta-reversible") for cm in corner_members):
-            return CaseResult("T11", statement, "proved", "FAIL", checked,
-                              _fail(parent, "all corners delta-reversible, parent not "
-                                            "(e = 1 corner included)"))
-    return CaseResult("T11", statement, "proved", "PASS", checked)
+            groups.setdefault(m.bases[0].name, []).append(m)
+    parents = {m.name: m for m in ctx.members if m.name in groups}
+
+    def outcome(parent, corners):
+        want = ctx.pred(parent.ring, _DR)
+        got = [ctx.pred(c.ring, _DR) for c in corners]
+        if want and not all(got):
+            return corners[got.index(False)], 1, Failure("parent delta-reversible, corner not")
+        if not want and all(got):
+            return parent, 1, Failure("all corners delta-reversible, parent not "
+                                      "(e = 1 corner included)")
+        return parent, 1, None
+    # a corner whose parent ring is not a member is skipped
+    return _tally(case, (outcome(parents[p], cs) for p, cs in groups.items() if p in parents))
 
 
-def _case_t17(ctx: SuiteContext) -> CaseResult:
-    statement = ("Every delta-quasipolar ring (as-used definition) is delta-reversible; "
-                 "for nilpotent a the associated idempotent lies in delta(R).")
-    checked = 0
-    for m in ctx.members:
-        R = m.ring
-        if ctx.pred(R, "delta-quasipolar"):
-            checked += 1
-            res = ctx.pred_result(R, "delta-reversible")
-            if not res.verdict:
-                return CaseResult("T17", statement, "proved", "FAIL", checked,
-                                  _fail(m, "delta-quasipolar but not delta-reversible",
-                                        res.witness))
-        d = ctx.delta(R)
-        in_d = bool_from_mask(d, R.order)
-        idem = list(mask_iter(idempotents_mask(R)))
-        for a in mask_iter(nilpotents_mask(R)):
-            cands = [p for p in idem if in_d[R.add[a][p]]]
-            if not cands:
-                continue
-            dc = double_commutant_mask(R, a)
-            for p in cands:
-                if (dc >> p) & 1 and not in_d[p]:
-                    return CaseResult("T17", statement, "proved", "FAIL", checked,
-                                      _fail(m, "spectral idempotent of nilpotent escapes delta",
-                                            (a, p)))
-    return CaseResult("T17", statement, "proved", "PASS", checked)
+def _triangular_transfer(ctx: SuiteContext, case: Case) -> CaseResult:
+    """T19 over the triangular members plus T3(Z2); the converse is an observation."""
+    tri = [m for m in ctx.members if m.kind == "triangular"]
+    tri.append(_member(upper_triangular_ring(3, make_zn(2))))
+    outcomes = [(m, *_evaluate(ctx, case, m)) for m in tri]
+    converse = next((m for m in tri
+                     if ctx.pred(m.bases[0], _DR) and not ctx.pred(m.ring, _DR)), None)
+    observation = {"claim": "converse: R delta-reversible implies the triangular ring is",
+                   "verdict": "PASS" if converse is None else "FAIL"}
+    if converse is not None:
+        observation["counterexample"] = {"ring": converse.name,
+                                         "detail": "base delta-reversible, triangular ring not"}
+    return _tally(case, outcomes, observation)
 
 
-def _case_t18(ctx: SuiteContext) -> CaseResult:
-    statement = ("For trivial Morita contexts and formal triangular rings, delta is "
-                 "contained in the block shape with delta of the diagonal components, "
-                 "and delta-reversibility passes to the components.")
-    checked = 0
-    for m in ctx.members:
-        if m.kind not in ("trivial_morita", "formal_triangular"):
-            continue
-        checked += 1
-        want, relation = _shape_mask(m, ctx)
-        got = ctx.delta(m.ring)
-        if (got | want) != want:
-            return CaseResult("T18", statement, "proved", "FAIL", checked,
-                              _fail(m, "delta escapes the block containment shape"))
-        if ctx.pred(m.ring, "delta-reversible"):
-            for base in m.bases:
-                if not ctx.pred(base, "delta-reversible"):
-                    return CaseResult("T18", statement, "proved", "FAIL", checked,
-                                      _fail(m, "ring delta-reversible but a component is not"))
-    return CaseResult("T18", statement, "proved", "PASS", checked)
-
-
-def _case_t19(ctx: SuiteContext) -> CaseResult:
-    statement = ("If the upper triangular matrix ring over R is delta-reversible then "
-                 "so is R; the converse is tested empirically and reported.")
-    pairs: list[tuple[FiniteRing, FiniteRing, str]] = []
-    for m in ctx.members:
-        if m.kind == "triangular":
-            pairs.append((m.bases[0], m.ring, m.name))
-    z2 = make_zn(2)
-    pairs.append((z2, upper_triangular_ring(3, z2), "T3(Z2)"))
-    checked = 0
-    for base, tri, name in pairs:
-        checked += 1
-        if ctx.pred(tri, "delta-reversible") and not ctx.pred(base, "delta-reversible"):
-            return CaseResult("T19", statement, "proved", "FAIL", checked,
-                              _fail(CorpusMember(name, tri, "triangular"),
-                                    "triangular ring delta-reversible but base is not"))
-    conv_fail = None
-    for base, tri, name in pairs:
-        if ctx.pred(base, "delta-reversible") and not ctx.pred(tri, "delta-reversible"):
-            conv_fail = {"ring": name, "detail": "base delta-reversible, triangular ring not"}
-            break
-    observation = {
-        "claim": "converse: R delta-reversible implies the triangular ring is",
-        "verdict": "PASS" if conv_fail is None else "FAIL",
-    }
-    if conv_fail is not None:
-        observation["counterexample"] = conv_fail
-    return CaseResult("T19", statement, "proved", "PASS", checked, None, observation)
-
-
-def _case_t20(ctx: SuiteContext) -> CaseResult:
-    statement = ("Full matrix rings need not inherit delta-reversibility: some corpus "
-                 "matrix ring has a delta-reversible base but is not delta-reversible.")
+def _exhibit_matrix_failure(ctx: SuiteContext, case: Case) -> CaseResult:
+    """T20 is an existence claim: PASS when some matrix member separates."""
     candidates = [m for m in ctx.members if m.kind == "matrix"]
     exhibits = [m.name for m in candidates
-                if ctx.pred(m.bases[0], "delta-reversible")
-                and not ctx.pred(m.ring, "delta-reversible")]
-    if exhibits:
-        return CaseResult("T20", statement, "proved", "PASS", len(exhibits),
-                          observation={"exhibits": exhibits})
-    if not candidates:
-        return CaseResult("T20", statement, "proved", "PASS", 0,
-                          observation={"exhibits": [], "note": "no matrix members in corpus"})
-    return CaseResult("T20", statement, "proved", "FAIL", len(candidates),
-                      {"ring": candidates[0].name,
-                       "detail": "no separating matrix ring found in corpus"})
+                if ctx.pred(m.bases[0], _DR) and not ctx.pred(m.ring, _DR)]
+    if exhibits or not candidates:
+        note = {} if exhibits else {"note": "no matrix members in corpus"}
+        return _tally(case, [(None, len(exhibits), None)], {"exhibits": exhibits, **note})
+    return _tally(case, [(candidates[0], len(candidates),
+                          Failure("no separating matrix ring found in corpus"))])
 
 
-def _iff_case(ctx: SuiteContext, case_id: str, statement: str, member_kind: str,
-              extra=lambda m: True) -> CaseResult:
-    checked = 0
-    for m in ctx.members:
-        if m.kind != member_kind or not extra(m):
-            continue
-        checked += 1
-        base = m.bases[0]
-        want = ctx.pred(base, "delta-reversible")
-        got = ctx.pred(m.ring, "delta-reversible")
-        if want != got:
-            return CaseResult(case_id, statement, "proved", "FAIL", checked,
-                              _fail(m, f"base delta-reversible={want} but extension={got}"))
-    return CaseResult(case_id, statement, "proved", "PASS", checked)
+CASES: tuple[Case, ...] = (
+    Case("T1", "The five characterizations of delta(R) agree: essential-maximal intersection, "
+         "socle-quotient pullback, the summand-forcing set, the complement-in-socle set, and "
+         "(on small rings) the largest delta-small right ideal and the "
+         "annihilator-of-singular-simple intersection.", _radicals_agree),
+    Case("T2", "delta(R) is a semiprime ideal.", lambda ctx, R: is_semiprime_ideal(
+        R, ctx.delta(R)), detail="aRa inside delta but a outside delta"),
+    Case("T3", "Every J-reversible ring is delta-reversible.", _DR, "j-reversible"),
+    Case("T4", "If the socle lies in J(R), delta-reversible iff J-reversible.",
+         lambda ctx, R: ctx.pred(R, _DR) == ctx.pred(R, "j-reversible"),
+         lambda ctx, R: socle_mask(R, ctx.lattice_cap) & ~jacobson_radical_mask(
+             R, ctx.lattice_cap) == 0),
+    Case("T5", "If R/socle(R) is J-reversible then R is delta-reversible.", _DR,
+         lambda ctx, R: ctx.pred(quotient_ring(R, socle(R, ctx.lattice_cap)).ring,
+                                 "j-reversible"),
+         detail="quotient J-reversible but R not delta-reversible"),
+    Case("T6", "Delta-reversible with idempotents lifting modulo delta(R) forces R/delta(R) "
+         "abelian.", "quotient-abelian",
+         lambda ctx, R: ctx.pred(R, _DR) and ctx.pred(R, "idempotents-lift-mod-delta")),
+    Case("T7", "Delta-reversible forces eR(1-e) + (1-e)Re inside delta(R) for every "
+         "idempotent e.", "corner-containment", _DR),
+    Case("T8", "The three delta-reversibility routes (definition, square-zero, annihilator) "
+         "agree on every corpus ring.",
+         # the predicate raises CharacterizationMismatch when its routes disagree
+         lambda ctx, R: ctx.pred(R, _DR) in (True, False)),
+    Case("T9", "If R is delta-reversible then within every two-sided ideal I, ab = 0 with "
+         "a, b in I forces ba into I intersect delta(R).", _ideal_products, _DR),
+    Case("T10", "A finite direct product is delta-reversible iff every factor is, and delta "
+         "of the product is the product of the deltas.", _transfer_and_shape,
+         run=_product_pairs),
+    Case("T11", "R is delta-reversible iff eRe is delta-reversible for every idempotent e.",
+         run=_corner_groups),
+    Case("T12", "In a local ring, delta-sharp(R) = delta(R).", _sharp_is_delta, "local"),
+    Case("T13", "delta-sharp(R) = delta(R) forces delta-reversibility.", _DR, _sharp_is_delta),
+    Case("T14", "If R/delta(R) is reduced then R is delta-reversible.", _DR, "quotient-reduced"),
+    Case("T15", "Every delta-reversible ring is delta-linear Armendariz.",
+         "delta-linear-armendariz",
+         lambda ctx, R: R.order <= ctx.armendariz_cap and ctx.pred(R, _DR)),
+    Case("T16", "Every delta-clean ring is delta-reversible.", _DR, "delta-clean"),
+    Case("T17", "Every delta-quasipolar ring (as-used definition) is delta-reversible; for "
+         "nilpotent a the associated idempotent lies in delta(R).", _quasipolar_transfer),
+    Case("T18", "For trivial Morita contexts and formal triangular rings, delta is contained "
+         "in the block shape with delta of the diagonal components, and "
+         "delta-reversibility passes to the components.", _block_transfer,
+         scope=("trivial_morita", "formal_triangular")),
+    Case("T19", "If the upper triangular matrix ring over R is delta-reversible then so is R; "
+         "the converse is tested empirically and reported.",
+         lambda ctx, m: not ctx.pred(m.ring, _DR) or ctx.pred(m.bases[0], _DR),
+         detail="triangular ring delta-reversible but base is not", run=_triangular_transfer),
+    Case("T20", "Full matrix rings need not inherit delta-reversibility: some corpus matrix "
+         "ring has a delta-reversible base but is not delta-reversible.",
+         run=_exhibit_matrix_failure),
+    Case("T21", "R is delta-reversible iff H_(s,t)(R) is; delta of H_(s,t)(R) is the set "
+         "with diagonal entries in delta(R).", _transfer_and_shape, scope=("hst",)),
+    Case("T22", "R is delta-reversible iff L_(s,t)(R) is.", _base_transfer, scope=("lst",)),
+    Case("T23", "R is delta-reversible iff K_0(R) is; delta of K_0(R) is the set with "
+         "diagonal entries in delta(R).", _transfer_and_shape, _is_k0, scope=("ks",)),
+    Case("F-product", "delta of a direct product is the product of the component deltas.",
+         _in_shape, scope=("product",)),
+    Case("F-corner", "delta(eRe) equals e delta(R) e at every idempotent of every corpus "
+         "ring.", _in_shape, scope=("corner",)),
+    Case("F-matrix", "delta of a full matrix ring is the matrix set over delta of the base.",
+         _in_shape, scope=("matrix",)),
+    Case("F-triangular", "delta of an upper triangular matrix ring is contained in the "
+         "triangular shape with diagonal in delta.", _in_shape, scope=("triangular",)),
+    Case("F-h-shape", "delta of H_(s,t)(R) equals the subset with a, d, f in delta(R).",
+         _in_shape, scope=("hst",)),
+    Case("F-l-shape", "delta of L_(s,t)(R) equals the subset with a, d, f in delta(R).",
+         _in_shape, scope=("lst",)),
+    Case("F-k0-shape", "delta of K_0(R) equals the subset with both diagonal entries in "
+         "delta(R).", _in_shape, _is_k0, scope=("ks",)),
+    Case("F-blocks", "delta of trivial Morita contexts and formal triangular rings lies in "
+         "the block-diagonal delta shape.", _in_shape,
+         scope=("trivial_morita", "formal_triangular")),
+)
 
 
 def run_theorem_suite(members: list[CorpusMember],
@@ -560,156 +443,32 @@ def run_theorem_suite(members: list[CorpusMember],
                       quantifier_cap: int = QUANTIFIER_CAP,
                       armendariz_cap: int = ARMENDARIZ_CAP) -> "SuiteReport":
     ctx = SuiteContext(members, lattice_cap, quantifier_cap, armendariz_cap)
-    _warm(ctx, jobs)
-
-    def scope_small(m: CorpusMember) -> bool:
-        return m.ring.order <= armendariz_cap
-
-    cases = [
-        _case_t1(ctx),
-        _case_t2(ctx),
-        _implication_case(ctx, "T3", "Every J-reversible ring is delta-reversible.",
-                          lambda R: ctx.pred(R, "j-reversible"),
-                          lambda R: ctx.pred_result(R, "delta-reversible")),
-        _implication_case(ctx, "T4",
-                          "If the socle lies in J(R), delta-reversible iff J-reversible.",
-                          lambda R: (socle_mask(R, ctx.lattice_cap)
-                                     | jacobson_radical_mask(R, ctx.lattice_cap))
-                          == jacobson_radical_mask(R, ctx.lattice_cap),
-                          lambda R: ctx.pred(R, "delta-reversible")
-                          == ctx.pred(R, "j-reversible")),
-        _case_t5(ctx),
-        _implication_case(ctx, "T6",
-                          "Delta-reversible with idempotents lifting modulo delta(R) "
-                          "forces R/delta(R) abelian.",
-                          lambda R: ctx.pred(R, "delta-reversible")
-                          and ctx.pred(R, "idempotents-lift-mod-delta"),
-                          lambda R: ctx.pred_result(R, "quotient-abelian")),
-        _implication_case(ctx, "T7",
-                          "Delta-reversible forces eR(1-e) + (1-e)Re inside delta(R) "
-                          "for every idempotent e.",
-                          lambda R: ctx.pred(R, "delta-reversible"),
-                          lambda R: ctx.pred_result(R, "corner-containment")),
-        _case_t8(ctx),
-        _case_t9(ctx),
-        _case_t10(ctx),
-        _case_t11(ctx),
-        _implication_case(ctx, "T12",
-                          "In a local ring, delta-sharp(R) = delta(R).",
-                          lambda R: ctx.pred(R, "local"),
-                          lambda R: delta_sharp_mask(R, ctx.lattice_cap) == ctx.delta(R)),
-        _implication_case(ctx, "T13",
-                          "delta-sharp(R) = delta(R) forces delta-reversibility.",
-                          lambda R: delta_sharp_mask(R, ctx.lattice_cap) == ctx.delta(R),
-                          lambda R: ctx.pred_result(R, "delta-reversible")),
-        _implication_case(ctx, "T14",
-                          "If R/delta(R) is reduced then R is delta-reversible.",
-                          lambda R: ctx.pred(R, "quotient-reduced"),
-                          lambda R: ctx.pred_result(R, "delta-reversible")),
-        _implication_case(ctx, "T15",
-                          "Every delta-reversible ring is delta-linear Armendariz.",
-                          lambda R: ctx.pred(R, "delta-reversible"),
-                          lambda R: ctx.pred_result(R, "delta-linear-armendariz"),
-                          scope=scope_small),
-        _implication_case(ctx, "T16",
-                          "Every delta-clean ring is delta-reversible.",
-                          lambda R: ctx.pred(R, "delta-clean"),
-                          lambda R: ctx.pred_result(R, "delta-reversible")),
-        _case_t17(ctx),
-        _case_t18(ctx),
-        _case_t19(ctx),
-        _case_t20(ctx),
-        _iff_case(ctx, "T21",
-                  "R is delta-reversible iff H_(s,t)(R) is; delta of H_(s,t)(R) is the "
-                  "set with diagonal entries in delta(R).", "hst"),
-        _iff_case(ctx, "T22", "R is delta-reversible iff L_(s,t)(R) is.", "lst"),
-        _iff_case(ctx, "T23",
-                  "R is delta-reversible iff K_0(R) is; delta of K_0(R) is the set "
-                  "with diagonal entries in delta(R).", "ks",
-                  extra=lambda m: m.params.get("s") == m.bases[0].zero),
-    ]
-    # radical-shape sub-checks bundled into T21/T23 per the registry
-    shape21 = _formula_case(ctx, "T21", cases[-3].statement, ("hst",))
-    if cases[-3].verdict == "PASS" and shape21.verdict == "FAIL":
-        cases[-3] = shape21
-    shape23 = _formula_case(ctx, "T23", cases[-1].statement, ("ks",))
-    if cases[-1].verdict == "PASS" and shape23.verdict == "FAIL":
-        cases[-1] = shape23
-
-    formulas = [
-        _formula_case(ctx, "F-product", "delta of a direct product is the product "
-                      "of the component deltas.", ("product",)),
-        _formula_case(ctx, "F-corner", "delta(eRe) equals e delta(R) e at every "
-                      "idempotent of every corpus ring.", ("corner",)),
-        _formula_case(ctx, "F-matrix", "delta of a full matrix ring is the matrix "
-                      "set over delta of the base.", ("matrix",)),
-        _formula_case(ctx, "F-triangular", "delta of an upper triangular matrix ring "
-                      "is contained in the triangular shape with diagonal in delta.",
-                      ("triangular",)),
-        _formula_case(ctx, "F-h-shape", "delta of H_(s,t)(R) equals the subset with "
-                      "a, d, f in delta(R).", ("hst",)),
-        _formula_case(ctx, "F-l-shape", "delta of L_(s,t)(R) equals the subset with "
-                      "a, d, f in delta(R).", ("lst",)),
-        _formula_case(ctx, "F-k0-shape", "delta of K_0(R) equals the subset with "
-                      "both diagonal entries in delta(R).", ("ks",)),
-        _formula_case(ctx, "F-blocks", "delta of trivial Morita contexts and formal "
-                      "triangular rings lies in the block-diagonal delta shape.",
-                      ("trivial_morita", "formal_triangular")),
-    ]
-    cases.extend(formulas)
+    ring_outcomes = _warm(ctx, jobs)
+    cases = [_run_case(ctx, case, ring_outcomes) for case in CASES]
     # job count deliberately left out: reports must be identical across --jobs
     return SuiteReport(corpus_spec, members, cases,
                        {"lattice_cap": lattice_cap, "quantifier_cap": quantifier_cap,
                         "armendariz_cap": armendariz_cap})
 
 
-def _case_t8(ctx: SuiteContext) -> CaseResult:
-    statement = ("The three delta-reversibility routes (definition, square-zero, "
-                 "annihilator) agree on every corpus ring.")
-    checked = 0
+def _warm(ctx: SuiteContext, jobs: int) -> dict:
+    """Evaluate every ring-level case once per distinct table, one worker per
+    table; returns the outcomes keyed by (case id, digest)."""
+    rings: dict[str, FiniteRing] = {}
     for m in ctx.members:
-        checked += 1
-        try:
-            ctx.pred(m.ring, "delta-reversible")
-        except CharacterizationMismatch as exc:
-            return CaseResult("T8", statement, "proved", "FAIL", checked,
-                              _fail(m, str(exc)))
-    return CaseResult("T8", statement, "proved", "PASS", checked)
+        rings.setdefault(m.ring.digest, m.ring)
+    ring_cases = [c for c in CASES if not c.scope and c.run is None]
 
+    def work(R: FiniteRing) -> dict:
+        return {(c.id, R.digest): _evaluate(ctx, c, R) for c in ring_cases}
 
-def _warm(ctx: SuiteContext, jobs: int) -> None:
-    """Precompute radicals and standard predicates, one worker per distinct table."""
-    standard = ["reversible", "j-reversible", "delta-reversible", "abelian", "reduced",
-                "semisimple", "local", "delta-clean", "delta-quasipolar",
-                "idempotents-lift-mod-delta", "corner-containment",
-                "quotient-abelian", "quotient-reduced"]
-
-    seen: dict[str, FiniteRing] = {}
-    for m in ctx.members:
-        seen.setdefault(m.ring.digest, m.ring)
-
-    def work(R: FiniteRing) -> None:
-        zhou_radical_mask(R, ctx.lattice_cap)
-        jacobson_radical_mask(R, ctx.lattice_cap)
-        socle_mask(R, ctx.lattice_cap)
-        delta_sharp_mask(R, ctx.lattice_cap)
-        for name in standard:
-            evaluate_predicate(R, name, ctx.lattice_cap, ctx.armendariz_cap)
-        if R.order <= ctx.armendariz_cap:
-            evaluate_predicate(R, "delta-linear-armendariz", ctx.lattice_cap,
-                               ctx.armendariz_cap)
-
-    rings = list(seen.values())
     if jobs <= 1:
-        for R in rings:
-            work(R)
+        parts = [work(R) for R in rings.values()]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(work, rings))
+            parts = list(pool.map(work, rings.values()))
+    return {key: outcome for part in parts for key, outcome in part.items()}
 
-
-# ---------------------------------------------------------------------------
-# reports
 
 @dataclass
 class SuiteReport:
@@ -738,36 +497,19 @@ class SuiteReport:
 
     def to_markdown(self) -> str:
         d = self.to_json_dict()
-        lines = [
-            "# Theorem suite report",
-            "",
-            f"- tool version: {d['tool_version']}",
-            f"- corpus: {d['corpus']}",
-            f"- corpus version: {d['corpus_version']}",
-            f"- corpus size: {d['corpus_size']}",
-            f"- caps: {json.dumps(d['caps'])}",
-            "",
-            "| id | verdict | checked | statement |",
-            "|----|---------|---------|-----------|",
-        ]
-        for c in d["cases"]:
-            lines.append(f"| {c['id']} | {c['verdict']} | {c['checked']} | {c['statement']} |")
+        lines = ["# Theorem suite report", "",
+                 f"- tool version: {d['tool_version']}", f"- corpus: {d['corpus']}",
+                 f"- corpus version: {d['corpus_version']}",
+                 f"- corpus size: {d['corpus_size']}", f"- caps: {json.dumps(d['caps'])}", "",
+                 "| id | verdict | checked | statement |", "|----|---------|---------|-----------|"]
+        lines += [f"| {c['id']} | {c['verdict']} | {c['checked']} | {c['statement']} |"
+                  for c in d["cases"]]
         lines.append("")
-        for c in d["cases"]:
-            if "counterexample" in c:
-                lines.append(f"- {c['id']} counterexample: {json.dumps(c['counterexample'])}")
-            if "observation" in c:
-                lines.append(f"- {c['id']} observation: {json.dumps(c['observation'])}")
-        lines.append("")
-        lines.append("## corpus members")
-        lines.append("")
-        for name in d["members"]:
-            lines.append(f"- {name}")
+        lines += [f"- {c['id']} {key}: {json.dumps(c[key])}" for c in d["cases"]
+                  for key in ("counterexample", "observation") if key in c]
+        lines += ["", "## corpus members", ""] + [f"- {name}" for name in d["members"]]
         return "\n".join(lines) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# counterexample hunting
 
 @dataclass(frozen=True)
 class HuntQuery:
@@ -793,20 +535,14 @@ def hunt_counterexample(query: HuntQuery, members: list[CorpusMember],
                         lattice_cap: int = LATTICE_CAP,
                         armendariz_cap: int = ARMENDARIZ_CAP) -> list[HuntFinding]:
     """Corpus rings satisfying the antecedent but not the consequent, in corpus order."""
+    ctx = SuiteContext(members, lattice_cap, armendariz_cap=armendariz_cap)
+    claim = Case("hunt", "", query.consequent, query.antecedent,
+                 detail=f"{query.antecedent} holds but {query.consequent} fails")
     findings: list[HuntFinding] = []
     for m in members:
-        try:
-            if not evaluate_predicate(m.ring, query.antecedent, lattice_cap,
-                                      armendariz_cap).verdict:
-                continue
-            res = evaluate_predicate(m.ring, query.consequent, lattice_cap,
-                                     armendariz_cap)
-        except SizeCap:
-            continue
-        if res.verdict:
-            continue
-        findings.append(HuntFinding(m.name, res.witness,
-                                    f"{query.antecedent} holds but {query.consequent} fails"))
-        if query.stop_at_first:
-            break
+        _, failure = _evaluate(ctx, claim, m.ring)
+        if failure is not None:
+            findings.append(HuntFinding(m.name, failure.witness, failure.detail))
+            if query.stop_at_first:
+                break
     return findings

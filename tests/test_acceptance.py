@@ -12,7 +12,8 @@ import subprocess
 import sys
 import time
 
-from ringlab.core import check_ring_axioms, dumps_ring, loads_ring, mask_elems, mask_iter
+from ringlab.core import (
+    check_ring_axioms, clear_shared_cache, dumps_ring, loads_ring, mask_elems, mask_iter)
 from ringlab.constructions import (
     decode_digits, direct_product, encode_digits, enumerate_unital_rings,
     make_zn, matrix_ring, upper_triangular_ring)
@@ -272,6 +273,7 @@ def test_criterion_7_round_trip_and_jobs(tmp_path, default_corpus):
 
     spec, members = default_corpus
     r1 = run_theorem_suite(members, spec, jobs=1)
+    clear_shared_cache()    # the threaded run computes everything afresh
     r8 = run_theorem_suite(members, spec, jobs=8)
     ok &= r1.to_json() == r8.to_json()
     ok &= r1.to_markdown() == r8.to_markdown()

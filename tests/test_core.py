@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from ringlab import core
 from ringlab.core import (
-    AxiomViolation, DimensionMismatch, SizeCap, commutant, double_commutant,
-    dumps_ring, element_set, idempotents, left_annihilator, loads_ring,
+    AxiomViolation, DimensionMismatch, SizeCap, clear_shared_cache, commutant,
+    double_commutant, dumps_ring, element_set, idempotents, left_annihilator, loads_ring,
     mask_elems, mask_of, nilpotents, right_annihilator, units, unit_inverse,
     validate_ring)
 
@@ -189,3 +190,14 @@ def test_units_form_group(m2z2):
         assert (um >> unit_inverse(m2z2, u)) & 1
         for v in mask_elems(um):
             assert (um >> m2z2.mul[u][v]) & 1
+
+
+def test_clear_shared_cache_empties_dicts_in_place(monkeypatch):
+    monkeypatch.setattr(core, "_SHARED_CACHE", {})
+    A = validate_ring("A", 0, 1, *zn_tables(6))
+    units(A)
+    assert A.cache
+    clear_shared_cache()
+    assert A.cache == {}
+    # a later ring with the same tables shares the emptied dict
+    assert validate_ring("B", 0, 1, *zn_tables(6)).cache is A.cache

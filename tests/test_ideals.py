@@ -1,12 +1,15 @@
-from ringlab.core import element_set, mask_elems, mask_of
+import pytest
+
+from ringlab.core import LATTICE_CAP, LatticeCap, element_set, mask_elems, mask_of
 from ringlab.constructions import (
-    direct_product, enumerate_unital_rings, ks_ring, make_zn, matrix_ring,
+    construct, direct_product, enumerate_unital_rings, ks_ring, make_zn, matrix_ring,
     upper_triangular_ring)
 from ringlab.ideals import (
-    all_right_ideals, assert_radical_agreement, delta_sharp, delta_sharp_mask,
-    is_delta_small, is_direct_summand, is_essential, is_semiprime_ideal,
-    jacobson_radical, r2_ideal_mask, r3_mask, r4_ideal_mask, r5_membership,
-    right_ideal_generated, socle, zhou_radical, zhou_radical_mask)
+    all_right_ideal_masks, all_right_ideals, assert_radical_agreement, delta_sharp,
+    delta_sharp_mask, is_delta_small, is_direct_summand, is_essential, is_semiprime_ideal,
+    jacobson_radical, jacobson_radical_mask, r2_ideal_mask, r3_mask, r4_ideal_mask,
+    r5_membership, right_ideal_generated, socle, socle_mask, zhou_radical, zhou_radical_mask)
+from ringlab.predicates import evaluate_predicate
 
 
 def test_right_ideal_generated(zn):
@@ -185,3 +188,26 @@ def test_maximal_right_ideals_satisfy_definition(zn, t2z2):
             is_max = all(_sum_pair(R, m, cyc[a]) == full
                          for a in R.elements() if not (m >> a) & 1)
             assert is_max == (m in lat.maximal)
+
+
+def _outcome(fn, R, cap):
+    try:
+        return ("value", fn(R, cap))
+    except LatticeCap:
+        return ("raises", "LatticeCap")
+
+
+@pytest.mark.parametrize("fn", [
+    all_right_ideal_masks, zhou_radical_mask, jacobson_radical_mask, socle_mask,
+    delta_sharp_mask,
+    lambda R, cap: evaluate_predicate(R, "delta-reversible", cap).verdict,
+], ids=["lattice", "zhou", "jacobson", "socle", "delta_sharp", "delta-reversible"])
+@pytest.mark.parametrize("cap", [2, 8])
+def test_lattice_cap_same_cold_and_warm(fn, cap):
+    # F2 x F2 x F2 has exactly 8 right ideals: cap 2 must raise, cap 8 must not
+    R = construct("Prod(Zn(2),Zn(2),Zn(2))")
+    R.cache.clear()
+    cold = _outcome(fn, R, cap)
+    fn(R, LATTICE_CAP)
+    assert _outcome(fn, R, cap) == cold
+    assert cold[0] == ("raises" if cap < 8 else "value")

@@ -1,9 +1,14 @@
+import hashlib
 import json
 
+import pytest
+
+from ringlab.core import clear_shared_cache
+from ringlab.ideals import zhou_radical_mask
 from ringlab.predicates import evaluate_predicate
 from ringlab.suite import (
-    HuntQuery, build_corpus, default_corpus, hunt_counterexample,
-    run_theorem_suite)
+    HuntQuery, SuiteContext, _shape_mask, build_corpus, default_corpus,
+    hunt_counterexample, run_theorem_suite)
 
 
 def _case(report, cid):
@@ -156,9 +161,18 @@ def test_report_json_and_markdown_mirror(suite_report):
     assert json.loads(suite_report.to_json()) == d
 
 
+def test_report_bytes_locked(suite_report):
+    # the bytes of perfbench/golden/suite-default.json and its markdown twin
+    assert hashlib.sha256(suite_report.to_json().encode()).hexdigest() == \
+        "6fb92938617524153b7ddfcf651a26dca69715a4e82f4a10ae47a65a77caac0f"
+    assert hashlib.sha256(suite_report.to_markdown().encode()).hexdigest() == \
+        "9c376ef1c9589f42bb4ec58379ced2bb49861e768ca1cfa7fbaba0ca2d8ff1d4"
+
+
 def test_suite_deterministic_across_jobs(default_corpus):
     spec, members = default_corpus
     r1 = run_theorem_suite(members, spec, jobs=1)
+    clear_shared_cache()    # the threaded run computes everything afresh
     r8 = run_theorem_suite(members, spec, jobs=8)
     assert r1.to_json() == r8.to_json()
     assert r1.to_markdown() == r8.to_markdown()
@@ -167,7 +181,6 @@ def test_suite_deterministic_across_jobs(default_corpus):
 def test_every_fail_reverifies_standalone(suite_report, default_corpus):
     spec, members = default_corpus
     by_name = {m.name: m for m in members}
-    from ringlab.suite import SuiteContext, _shape_mask
     ctx = SuiteContext(members)
     for c in suite_report.cases:
         if c.verdict != "FAIL" or c.counterexample is None:
@@ -179,7 +192,34 @@ def test_every_fail_reverifies_standalone(suite_report, default_corpus):
         if shape is None:
             continue
         want, relation = shape
-        from ringlab.ideals import zhou_radical_mask
         got = zhou_radical_mask(m.ring)
         ok = (got == want) if relation == "eq" else ((got | want) == want)
         assert not ok
+
+
+def _shape_holds(member, members) -> bool:
+    want, relation = _shape_mask(member, SuiteContext(members))
+    got = zhou_radical_mask(member.ring)
+    return got == want if relation == "eq" else (got | want) == want
+
+
+@pytest.mark.parametrize("expr, case_id", [
+    ("Prod(Zn(2),Zn(4))", "F-product"),
+    ("M(2,Zn(2))", "F-matrix"),
+    ("T(2,Zn(2))", "F-triangular"),
+    ("K0(Zn(2))", "F-k0-shape"),
+    ("Hst(Zn(2),s=1,t=1)", "F-h-shape"),
+    ("Lst(Zn(2),s=1,t=1)", "F-l-shape"),
+    ("Corner(T(2,Zn(2)),e=3)", "F-corner"),
+    ("Tri(Zn(2),Zn(2))", "F-blocks"),
+    ("Morita(Zn(2),Zn(2))", "F-blocks"),
+])
+def test_expression_corpus_gets_family_shape_check(expr, case_id, default_corpus):
+    spec, members = build_corpus(expr)
+    report = run_theorem_suite(members, spec)
+    case = _case(report, case_id)
+    assert case.checked == 1
+    m = members[0]
+    twin = next(d for d in default_corpus[1]
+                if d.ring.digest == m.ring.digest and d.kind == m.kind)
+    assert case.verdict == ("PASS" if _shape_holds(twin, default_corpus[1]) else "FAIL")

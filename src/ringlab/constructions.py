@@ -3,7 +3,7 @@
 Composite elements are encoded mixed-radix over component indices, most
 significant digit first, so encodings are stable across runs and documented
 by the labels.  Tables are built with vectorized gathers; every constructor
-ends in exhaustive validation.
+ends in exact axiom validation.
 
 Extensions record their base rings in `meta["bases"]`.  Those whose radical
 has a claimed digit-wise shape also record `dims`, `delta_digits` (digit s
@@ -654,7 +654,7 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = True):
     moves it there).  Only the pairwise products of the remaining generators
     are free; candidates are pruned by additive-order constraints, then by
     associativity on generator triples (which, with bilinearity, decides
-    associativity everywhere), and survivors are validated exhaustively.
+    associativity everywhere), and survivors are validated in full.
     """
     if order > 8:
         raise SizeCap(f"enumeration is capped at order 8, got {order}")

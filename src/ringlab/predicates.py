@@ -12,13 +12,12 @@ import numpy as np
 
 from .core import (
     ARMENDARIZ_CAP, LATTICE_CAP, CharacterizationMismatch, CrossCheckMismatch,
-    ElementSet, FiniteRing, SizeCap, UnknownPredicate, _cached, bool_from_mask,
+    FiniteRing, SizeCap, UnknownPredicate, _cached, bool_from_mask,
     double_commutant_mask, idempotents_mask, mask_iter, nilpotents_mask,
 )
 from .constructions import quotient_ring
 from .ideals import (
-    all_right_ideals, delta_sharp_mask, jacobson_radical_mask, zhou_radical,
-    zhou_radical_mask,
+    all_right_ideals, jacobson_radical_mask, zhou_radical, zhou_radical_mask,
 )
 
 

@@ -16,10 +16,10 @@ from typing import Callable, Iterable, Optional, Union
 import numpy as np
 
 from .core import (
-    ARMENDARIZ_CAP, LATTICE_CAP, QUANTIFIER_CAP, SIZE_CAP, TOOL_VERSION, CrossCheckMismatch,
-    FiniteRing, SizeCap, array_from_mask, bool_from_mask, double_commutant_mask,
-    idempotents_mask, is_central, mask_from_bool, mask_iter, mask_of, nilpotents_mask,
-    units_mask)
+    ARMENDARIZ_CAP, LATTICE_CAP, QUANTIFIER_CAP, SIZE_CAP, TOOL_VERSION,
+    CharacterizationMismatch, CrossCheckMismatch, FiniteRing, SizeCap, array_from_mask,
+    bool_from_mask, double_commutant_mask, idempotents_mask, is_central, mask_from_bool,
+    mask_iter, mask_of, nilpotents_mask, units_mask)
 from .constructions import (
     construct, corner_ring, direct_product, enumerate_unital_rings, formal_triangular,
     hst_ring, ks_ring, lst_ring, make_zn, matrix_ring, quotient_ring, trivial_morita,
@@ -185,6 +185,9 @@ def _evaluate(ctx: SuiteContext, case: Case, subject) -> tuple[int, Optional[Fai
         res = ctx.pred_result(subject, concl) if isinstance(concl, str) else concl(ctx, subject)
     except SizeCap:
         return 0, None
+    except (CharacterizationMismatch, CrossCheckMismatch) as exc:
+        # routes to one invariant disagree on this subject: a FAIL, not an abort
+        return 1, Failure(str(exc))
     if isinstance(res, tuple):
         return res
     if isinstance(res, PropertyResult):
@@ -220,11 +223,9 @@ def _run_case(ctx: SuiteContext, case: Case, ring_outcomes: dict) -> CaseResult:
                          if m.kind in case.scope))
 
 
-def _radicals_agree(ctx, R):
-    try:
-        assert_radical_agreement(R, ctx.lattice_cap, ctx.quantifier_cap)
-    except CrossCheckMismatch as exc:
-        return Failure(str(exc))
+def _radicals_agree(ctx, R) -> bool:
+    # a disagreement raises CrossCheckMismatch, which _evaluate reports
+    assert_radical_agreement(R, ctx.lattice_cap, ctx.quantifier_cap)
     return True
 
 

@@ -5,7 +5,7 @@ import pytest
 from ringlab.constructions import make_zn, matrix_ring, upper_triangular_ring, ks_ring
 from ringlab.suite import build_corpus, run_theorem_suite
 
-warnings.filterwarnings("ignore", message=".*O\\(n\\^3\\) validation.*")
+warnings.filterwarnings("ignore", message=".*right-ideal lattice and predicates will be slow.*")
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,18 @@
+import itertools
 import json
+import random
 
 import pytest
 
 from ringlab import core
+from ringlab.constructions import (
+    direct_product, enumerate_unital_rings, ks_ring, make_zn, matrix_ring,
+    upper_triangular_ring)
 from ringlab.core import (
-    AxiomViolation, DimensionMismatch, SizeCap, clear_shared_cache, commutant,
-    double_commutant, dumps_ring, element_set, idempotents, left_annihilator, loads_ring,
-    mask_elems, mask_of, nilpotents, right_annihilator, units, unit_inverse,
-    validate_ring)
+    AxiomViolation, DimensionMismatch, FiniteRing, RinglabError, SizeCap, check_ring_axioms,
+    clear_shared_cache, commutant, double_commutant, dumps_ring, element_set, idempotents,
+    left_annihilator, loads_ring, mask_elems, mask_of, nilpotents, right_annihilator, units,
+    unit_inverse, validate_ring)
 
 
 def zn_tables(k):
@@ -201,3 +206,157 @@ def test_clear_shared_cache_empties_dicts_in_place(monkeypatch):
     assert A.cache == {}
     # a later ring with the same tables shares the emptied dict
     assert validate_ring("B", 0, 1, *zn_tables(6)).cache is A.cache
+
+
+# ---------------------------------------------------------------------------
+# generator-based validation against the exhaustive O(n^3) scan
+
+AXIOMS = {
+    "zero != one in a nontrivial ring", "additive identity", "additive commutativity",
+    "additive inverse", "additive associativity", "left multiplicative identity",
+    "right multiplicative identity", "multiplicative associativity", "left distributivity",
+    "right distributivity"}
+
+
+def exhaustive_check(R):
+    """The axioms in report order with every cubic law scanned over all triples."""
+    A, M = core._small_tables(R)
+    core._check_additive_basics(R, A)
+    core._scan_laws(R, core._ADDITIVE_LAWS)
+    core._check_identities(R, M)
+    core._scan_laws(R, core._MULTIPLICATIVE_LAWS)
+
+
+def verdict(check, R):
+    """None when `check` accepts R, else the (axiom, witness) it reports."""
+    try:
+        check(R)
+    except AxiomViolation as exc:
+        return exc.axiom, exc.witness
+    return None
+
+
+def assert_same_verdict(R):
+    expected = verdict(exhaustive_check, R)
+    assert verdict(check_ring_axioms, R) == expected, R.name
+    return expected
+
+
+def test_generator_check_accepts_every_enumerated_ring():
+    rings = [R for order in range(1, 9) for R in enumerate_unital_rings(order, up_to_iso=False)]
+    assert len(rings) == 92
+    for R in rings:
+        assert assert_same_verdict(R) is None
+
+
+def test_generator_check_accepts_every_default_corpus_table(default_corpus):
+    _, members = default_corpus
+    # L(Z4) (order 1024) is left out: the scan takes ~30 s there, and the
+    # default report's hash lock already depends on accepting it
+    tables = {m.ring.digest: m.ring for m in members if m.ring.order <= 256}
+    assert len(tables) == 77
+    for R in tables.values():
+        assert assert_same_verdict(R) is None
+
+
+@pytest.fixture(scope="module")
+def tamperings():
+    """Verdicts of both checkers on seeded tamperings of small rings: 1200
+    single cells of the add or mul table, then 600 pairs add[i][j] =
+    add[j][i], which keep + commutative and so reach Light's test beyond the
+    first generator."""
+    single, symmetric = 1200, 600
+    zn = [make_zn(k) for k in range(2, 10)]
+    bases = zn + [matrix_ring(2, zn[0]), upper_triangular_ring(2, zn[0]),
+                  upper_triangular_ring(2, zn[1]), ks_ring(zn[0], 0),
+                  direct_product([zn[0], zn[2]]), direct_product([zn[0]] * 3)]
+    bases += list(enumerate_unital_rings(8, up_to_iso=False))
+    rng = random.Random(20240)
+    out = []
+    for k in range(single + symmetric):
+        R = rng.choice(bases)
+        add, mul = [list(r) for r in R.add], [list(r) for r in R.mul]
+        i, j, v = rng.randrange(R.order), rng.randrange(R.order), rng.randrange(R.order)
+        if k < single:
+            rng.choice((add, mul))[i][j] = v
+        else:
+            add[i][j] = add[j][i] = v
+        T = FiniteRing(f"tampered {R.name}", R.zero, R.one, add, mul)
+        out.append((verdict(check_ring_axioms, T), verdict(exhaustive_check, T)))
+    return tuple(out)
+
+
+def test_tamperings_agree_with_exhaustive_scan(tamperings):
+    for fast, slow in tamperings:
+        assert fast == slow
+    assert sum(fast is None for fast, _ in tamperings) < len(tamperings) // 2
+
+
+def f2_algebra(products):
+    """The unital F2-algebra on basis 1, x, y (element c0 + 2 c1 + 4 c2) whose
+    products xx, xy, yx, yy are the given elements: biadditive by
+    construction, so only multiplicative associativity can fail."""
+    basis = [[1, 2, 4], [2, *products[:2]], [4, *products[2:]]]
+    add = [[u ^ v for v in range(8)] for u in range(8)]
+    mul = [[0] * 8 for _ in range(8)]
+    for u, v in itertools.product(range(8), repeat=2):
+        for i, j in itertools.product(range(3), repeat=2):
+            if u >> i & 1 and v >> j & 1:
+                mul[u][v] ^= basis[i][j]
+    return FiniteRing(f"F2-algebra{tuple(products)}", 0, 1, add, mul)
+
+
+def test_biadditive_products_agree_with_exhaustive_scan():
+    rng = random.Random(7)
+    verdicts = [assert_same_verdict(f2_algebra([rng.randrange(8) for _ in range(4)]))
+                for _ in range(600)]
+    assert {v and v[0] for v in verdicts} == {None, "multiplicative associativity"}
+
+
+def test_additive_generators_generate(default_corpus):
+    _, members = default_corpus
+    rings = [R for order in range(1, 9) for R in enumerate_unital_rings(order)]
+    rings += list({m.ring.digest: m.ring for m in members}.values())
+    for R in rings:
+        S = [int(g) for g in core._additive_generators(core._small_tables(R)[0], R.zero)]
+        assert 1 << len(S) <= R.order
+        span, frontier = {R.zero}, [R.zero]
+        while frontier:
+            x = frontier.pop()
+            for g in S:
+                if R.add[x][g] not in span:
+                    span.add(R.add[x][g])
+                    frontier.append(R.add[x][g])
+        assert len(span) == R.order, R.name
+
+
+def near_ring_z3(opposite):
+    """Maps f: Z3 -> Z3 with f(0) = 0 (element 3 f(1) + f(2)), pointwise +,
+    composition as product (b o a when `opposite`) and the identity map as one:
+    a zero-symmetric near-ring that is distributive on one side only."""
+    maps = [(0, f1, f2) for f1 in range(3) for f2 in range(3)]
+    index = {f: i for i, f in enumerate(maps)}
+    add = [[index[tuple((f[x] + g[x]) % 3 for x in range(3))] for g in maps] for f in maps]
+    comp = [[index[tuple(f[g[x]] for x in range(3))] for g in maps] for f in maps]
+    mul = [list(col) for col in zip(*comp)] if opposite else comp
+    return FiniteRing("near-ring", 0, index[(0, 1, 2)], add, mul)
+
+
+def test_every_axiom_is_reported(tamperings):
+    add, mul = zn_tables(4)
+    extra = [FiniteRing("zero=one", 0, 0, add, mul), near_ring_z3(False), near_ring_z3(True)]
+    seen = {assert_same_verdict(R)[0] for R in extra}
+    seen |= {fast[0] for fast, _ in tamperings if fast is not None}
+    assert seen == AXIOMS
+    assert verdict(check_ring_axioms, near_ring_z3(False)) == ("left distributivity", (1, 1, 1))
+    assert verdict(check_ring_axioms, near_ring_z3(True)) == ("right distributivity", (1, 1, 1))
+
+
+def test_unconfirmed_fast_rejection_never_accepts(monkeypatch):
+    add, mul = zn_tables(4)
+    add[1][1] = 3  # commutative with identity and inverses, but (1+1)+2 != 1+(1+2)
+    monkeypatch.setattr(core, "_scan_laws", lambda R, laws: None)
+    for bad in (FiniteRing("loop", 0, 1, add, mul), near_ring_z3(False)):
+        with pytest.raises(RinglabError) as exc:
+            check_ring_axioms(bad)
+        assert not isinstance(exc.value, AxiomViolation)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ringlab.core import LATTICE_CAP, LatticeCap, element_set, mask_elems, mask_of
@@ -8,7 +9,8 @@ from ringlab.ideals import (
     all_right_ideal_masks, all_right_ideals, assert_radical_agreement, delta_sharp,
     delta_sharp_mask, is_delta_small, is_direct_summand, is_essential, is_semiprime_ideal,
     jacobson_radical, jacobson_radical_mask, r2_ideal_mask, r3_mask, r4_ideal_mask,
-    r5_membership, right_ideal_generated, socle, socle_mask, zhou_radical, zhou_radical_mask)
+    r5_membership, right_ideal_generated, socle, socle_mask, summand_masks, zhou_radical,
+    zhou_radical_mask)
 from ringlab.predicates import evaluate_predicate
 
 
@@ -211,3 +213,29 @@ def test_lattice_cap_same_cold_and_warm(fn, cap):
     fn(R, LATTICE_CAP)
     assert _outcome(fn, R, cap) == cold
     assert cold[0] == ("raises" if cap < 8 else "value")
+
+
+def brute_force_right_ideals(R):
+    """Every subset of R (as an int mask) that holds zero, is closed under +
+    and satisfies aR inside it for each of its elements a."""
+    n = R.order
+    subsets = np.arange(1 << n, dtype=np.int64)
+    member = [(subsets >> x) & 1 == 1 for x in range(n)]
+    ok = member[R.zero].copy()
+    for a in range(n):
+        row = sum(1 << y for y in set(R.mul[a]))
+        ok &= ~member[a] | (subsets & row == row)
+        for b in range(a, n):
+            ok &= ~(member[a] & member[b]) | member[R.add[a][b]]
+    return {int(m) for m in subsets[ok]}
+
+
+def test_lattice_matches_brute_force_on_small_corpus_tables(default_corpus):
+    _, members = default_corpus
+    tables = {m.ring.digest: m.ring for m in members if m.ring.order <= 16}
+    assert len(tables) == 56
+    for R in tables.values():
+        assert set(all_right_ideal_masks(R)) == brute_force_right_ideals(R), R.name
+        # a maximal right ideal is either essential or a direct summand
+        lat = all_right_ideals(R)
+        assert set(lat.essential_maximal) == set(lat.maximal) - summand_masks(R), R.name

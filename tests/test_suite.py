@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from ringlab.core import clear_shared_cache
+from ringlab import core, predicates
+from ringlab.core import CharacterizationMismatch, clear_shared_cache
 from ringlab.ideals import zhou_radical_mask
 from ringlab.predicates import evaluate_predicate
 from ringlab.suite import (
@@ -223,3 +224,20 @@ def test_expression_corpus_gets_family_shape_check(expr, case_id, default_corpus
     twin = next(d for d in default_corpus[1]
                 if d.ring.digest == m.ring.digest and d.kind == m.kind)
     assert case.verdict == ("PASS" if _shape_holds(twin, default_corpus[1]) else "FAIL")
+
+
+def test_characterization_mismatch_is_a_t8_fail(monkeypatch):
+    honest = predicates.PREDICATES["delta-reversible"]
+
+    def flaky(R, **kw):
+        if R.order == 6:
+            raise CharacterizationMismatch(f"delta-reversible({R.name}): routes disagree")
+        return honest(R, **kw)
+
+    monkeypatch.setattr(core, "_SHARED_CACHE", {})
+    monkeypatch.setitem(predicates.PREDICATES, "delta-reversible", flaky)
+    spec, members = build_corpus("Zn(4); Zn(6)")
+    t8 = _case(run_theorem_suite(members, spec), "T8")
+    assert t8.verdict == "FAIL"
+    assert t8.counterexample["ring"] == "Z6"
+    assert "routes disagree" in t8.counterexample["detail"]

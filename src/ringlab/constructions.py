@@ -24,7 +24,7 @@ from .core import (
     SIZE_CAP, BimoduleAxiomViolation, ClosureViolation, DimensionMismatch,
     ElementSet, FiniteRing, NotCentral, NotCentralUnit, NotIdempotent,
     NotTwoSidedIdeal, ParseError, SizeCap, check_ring_axioms,
-    element_set_from_mask, is_central, loads_ring, mask_iter, mask_of,
+    element_set_from_mask, ideal_failure, is_central, loads_ring, mask_of,
     nilpotents_mask, idempotents_mask, units_mask,
 )
 
@@ -33,7 +33,9 @@ _VALIDATED: set[str] = set()
 
 def _validated(name, zero, one, add, mul, labels=None, meta=None,
                size_cap: int = SIZE_CAP) -> FiniteRing:
-    """Axiom validation with a digest shortcut for tables already proven valid."""
+    """Axiom validation with a digest shortcut for tables already proven valid.
+
+    add and mul may be integer arrays; FiniteRing stores them as int32."""
     if len(add) > size_cap:
         raise SizeCap(f"order {len(add)} exceeds size cap {size_cap}")
     R = FiniteRing(name, zero, one, add, mul, labels, meta)
@@ -79,13 +81,25 @@ def _digit_grids(dims: Sequence[int]) -> tuple[int, list[np.ndarray]]:
 
 def _pair(table: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Outer gather: result[p, q] = table[u[p], v[q]]."""
-    return table[u[:, None], v[None, :]]
+    return table[u].take(v, axis=1)   # two 1-d gathers, C-ordered, beat one 2-d gather
 
 
-def _encode_slots(slot_tables: Sequence[np.ndarray], dims: Sequence[int]) -> np.ndarray:
-    acc = np.zeros_like(slot_tables[0], dtype=np.int64)
+def _encode_slots(slot_tables: Iterable[np.ndarray], dims: Sequence[int]) -> np.ndarray:
+    """The mixed-radix table of per-slot digit tables, taken one at a time:
+    given a generator, only one slot table is alive at once."""
+    N = math.prod(dims)
+    acc = np.zeros((N, N), dtype=np.int32)  # the table dtype of FiniteRing
     for t, s in zip(slot_tables, mixed_radix_strides(dims)):
-        acc += t.astype(np.int64) * s
+        acc += t * s
+    return acc
+
+
+def _sum_of_products(A: np.ndarray, M: np.ndarray, pairs) -> np.ndarray:
+    """Slot table of sum_t u_t v_t over digit-vector pairs (u_t, v_t)."""
+    acc = None
+    for u, v in pairs:
+        term = _pair(M, u, v)
+        acc = term if acc is None else A[acc, term]
     return acc
 
 
@@ -119,10 +133,8 @@ def direct_product(parts: Sequence[FiniteRing], size_cap: int = SIZE_CAP) -> Fin
     order = math.prod(dims)
     _check_size(order, size_cap, "direct product")
     N, digs = _digit_grids(dims)
-    adds = [_pair(R.np_add, d, d) for R, d in zip(parts, digs)]
-    muls = [_pair(R.np_mul, d, d) for R, d in zip(parts, digs)]
-    add = _encode_slots(adds, dims).tolist()
-    mul = _encode_slots(muls, dims).tolist()
+    add = _encode_slots((_pair(R.np_add, d, d) for R, d in zip(parts, digs)), dims)
+    mul = _encode_slots((_pair(R.np_mul, d, d) for R, d in zip(parts, digs)), dims)
     zero = encode_digits([R.zero for R in parts], dims)
     one = encode_digits([R.one for R in parts], dims)
     labels = ["(" + ",".join(R.label(d) for R, d in zip(parts, combo)) + ")"
@@ -153,17 +165,10 @@ def matrix_ring(n: int, R: FiniteRing, size_cap: int = SIZE_CAP) -> FiniteRing:
     dims = [k] * (n * n)
     N, digs = _digit_grids(dims)
     A, M = R.np_add, R.np_mul
-    add_slots = [_pair(A, d, d) for d in digs]
-    mul_slots = []
-    for i in range(n):
-        for j in range(n):
-            acc = None
-            for t in range(n):
-                term = _pair(M, digs[i * n + t], digs[t * n + j])
-                acc = term if acc is None else A[acc, term]
-            mul_slots.append(acc)
-    add = _encode_slots(add_slots, dims).tolist()
-    mul = _encode_slots(mul_slots, dims).tolist()
+    add = _encode_slots((_pair(A, d, d) for d in digs), dims)
+    mul = _encode_slots((_sum_of_products(A, M, ((digs[i * n + t], digs[t * n + j])
+                                                 for t in range(n)))
+                         for i in range(n) for j in range(n)), dims)
     zero = encode_digits([R.zero] * (n * n), dims)
     one = encode_digits([R.one if i == j else R.zero for i in range(n) for j in range(n)], dims)
     labels = [_matrix_label(decode_digits(p, dims), R, n) for p in range(order)]
@@ -187,16 +192,10 @@ def upper_triangular_ring(n: int, R: FiniteRing, size_cap: int = SIZE_CAP) -> Fi
     slot = {pos: s for s, pos in enumerate(positions)}
     N, digs = _digit_grids(dims)
     A, M = R.np_add, R.np_mul
-    add_slots = [_pair(A, d, d) for d in digs]
-    mul_slots = []
-    for (i, j) in positions:
-        acc = None
-        for t in range(i, j + 1):
-            term = _pair(M, digs[slot[(i, t)]], digs[slot[(t, j)]])
-            acc = term if acc is None else A[acc, term]
-        mul_slots.append(acc)
-    add = _encode_slots(add_slots, dims).tolist()
-    mul = _encode_slots(mul_slots, dims).tolist()
+    add = _encode_slots((_pair(A, d, d) for d in digs), dims)
+    mul = _encode_slots((_sum_of_products(A, M, ((digs[slot[(i, t)]], digs[slot[(t, j)]])
+                                                 for t in range(i, j + 1)))
+                         for (i, j) in positions), dims)
     zero = encode_digits([R.zero] * len(positions), dims)
     one = encode_digits([R.one if i == j else R.zero for (i, j) in positions], dims)
 
@@ -219,21 +218,29 @@ class CornerRing:
     embed: tuple[int, ...]  # corner index -> parent element
 
 
+def _subtables(R: FiniteRing, elems: np.ndarray, index: np.ndarray):
+    """R's tables restricted to the rows and columns `elems`, with every
+    entry renamed by `index` (parent element -> new element)."""
+    grid = np.ix_(elems, elems)
+    return index[R.np_add[grid]], index[R.np_mul[grid]]
+
+
 def corner_ring(R: FiniteRing, e: int, size_cap: int = SIZE_CAP) -> CornerRing:
     """The corner eRe with identity e, plus the embedding back into R."""
-    if R.mul[e][e] != e:
+    M = R.np_mul
+    if M[e, e] != e:
         raise NotIdempotent(f"element {e} of {R.name} is not idempotent")
-    row_e = R.mul[e]
-    elems = sorted({R.mul[row_e[x]][e] for x in R.elements()})
-    index = {p: i for i, p in enumerate(elems)}
-    add = [[index[R.add[a][b]] for b in elems] for a in elems]
-    mul = [[index[R.mul[a][b]] for b in elems] for a in elems]
-    labels = [R.label(p) for p in elems]
+    elems = np.unique(M[M[e], e])          # e x e over all x, sorted
+    index = np.full(R.order, -1, dtype=np.int64)
+    index[elems] = np.arange(len(elems))
+    add, mul = _subtables(R, elems, index)
+    embed = elems.tolist()
+    labels = [R.label(p) for p in embed]
     name = f"e{e}.{R.name}.e{e}"
-    ring = _validated(name, index[R.zero], index[e], add, mul, labels,
-                      meta={"kind": "corner", "e": e, "embed": list(elems), "bases": (R,)},
+    ring = _validated(name, int(index[R.zero]), int(index[e]), add, mul, labels,
+                      meta={"kind": "corner", "e": e, "embed": embed, "bases": (R,)},
                       size_cap=size_cap)
-    return CornerRing(ring, tuple(elems))
+    return CornerRing(ring, tuple(embed))
 
 
 @dataclass(frozen=True)
@@ -243,56 +250,32 @@ class QuotientRing:
 
 
 def is_right_ideal_mask(R: FiniteRing, m: int) -> bool:
-    if not (m >> R.zero) & 1:
-        return False
-    for a in mask_iter(m):
-        if not (m >> R.neg[a]) & 1:
-            return False
-        row_a, row_m = R.add[a], R.mul[a]
-        for b in mask_iter(m):
-            if not (m >> row_a[b]) & 1:
-                return False
-        for r in R.elements():
-            if not (m >> row_m[r]) & 1:
-                return False
-    return True
+    return ideal_failure(R, m, two_sided=False) is None
 
 
 def is_two_sided_mask(R: FiniteRing, m: int) -> bool:
-    if not is_right_ideal_mask(R, m):
-        return False
-    for a in mask_iter(m):
-        for r in R.elements():
-            if not (m >> R.mul[r][a]) & 1:
-                return False
-    return True
+    return ideal_failure(R, m, two_sided=True) is None
 
 
 def quotient_ring(R: FiniteRing, I: ElementSet, size_cap: int = SIZE_CAP) -> QuotientRing:
-    """R/I with canonical (smallest-index) coset representatives."""
+    """R/I with canonical (smallest-index) coset representatives, numbered in
+    increasing order of representative."""
     if I.ring is not R and I.ring != R:
         raise NotTwoSidedIdeal("ideal belongs to a different ring")
     if not is_two_sided_mask(R, I.mask):
         raise NotTwoSidedIdeal(f"{I.elems} is not a two-sided ideal of {R.name}")
     ideal = list(I.elems)
-    proj = [-1] * R.order
-    reps: list[int] = []
-    for x in R.elements():
-        if proj[x] >= 0:
-            continue
-        c = len(reps)
-        reps.append(x)
-        row = R.add[x]
-        for i in ideal:
-            proj[row[i]] = c
-    q = len(reps)
-    add = [[proj[R.add[a][b]] for b in reps] for a in reps]
-    mul = [[proj[R.mul[a][b]] for b in reps] for a in reps]
-    labels = [f"{R.label(r)}+I" for r in reps]
-    ring = _validated(f"{R.name}/I{len(ideal)}", proj[R.zero], proj[R.one], add, mul, labels,
-                      meta={"kind": "quotient", "ideal": ideal, "proj": list(proj)},
+    rep_of = R.np_add[:, ideal].min(axis=1)       # least element of x + I
+    reps = np.unique(rep_of)
+    proj = np.searchsorted(reps, rep_of)
+    add, mul = _subtables(R, reps, proj)
+    labels = [f"{R.label(r)}+I" for r in reps.tolist()]
+    proj_list = proj.tolist()
+    ring = _validated(f"{R.name}/I{len(ideal)}", proj_list[R.zero], proj_list[R.one],
+                      add, mul, labels,
+                      meta={"kind": "quotient", "ideal": ideal, "proj": proj_list},
                       size_cap=size_cap)
-    return QuotientRing(ring, tuple(proj))
+    return QuotientRing(ring, tuple(proj_list))
 
 
 def two_sided_ideal_generated(R: FiniteRing, gens: Iterable[int]) -> ElementSet:
@@ -349,8 +332,8 @@ def hst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteR
     if not np.array_equal(a3, A[d3, M[s][c3]]) or not np.array_equal(f3, A[d3, NEG[M[t][e3]]]):
         raise ClosureViolation(f"H(s,t) product left the family for {R.name}")
 
-    add = _encode_slots([_pair(A, c, c), _pair(A, d, d), _pair(A, e, e)], dims).tolist()
-    mul = _encode_slots([c3, d3, e3], dims).tolist()
+    add = _encode_slots([_pair(A, c, c), _pair(A, d, d), _pair(A, e, e)], dims)
+    mul = _encode_slots([c3, d3, e3], dims)
     zero = encode_digits([R.zero] * 3, dims)
     one = encode_digits([R.zero, R.one, R.zero], dims)
 
@@ -369,7 +352,12 @@ def hst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteR
 
 
 def lst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteRing:
-    """Subring of M3(R) on matrices [[a,0,0],[sc,d,te],[0,0,f]], all five slots free."""
+    """Subring of M3(R) on matrices [[a,0,0],[sc,d,te],[0,0,f]], all five slots free.
+
+    s and t are central units, so they cancel from both tables: every (s, t)
+    gives the same add and mul tables (and digest), and s and t reach only
+    the labels.
+    """
     _require_central_unit(R, s, "s")
     _require_central_unit(R, t, "t")
     k = R.order
@@ -383,8 +371,8 @@ def lst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteR
     d3 = _pair(M, d, d)
     e3 = A[_pair(M, d, e), _pair(M, e, f)]     # t cancels likewise
     f3 = _pair(M, f, f)
-    add = _encode_slots([_pair(A, x, x) for x in (a, c, d, e, f)], dims).tolist()
-    mul = _encode_slots([a3, c3, d3, e3, f3], dims).tolist()
+    add = _encode_slots((_pair(A, x, x) for x in (a, c, d, e, f)), dims)
+    mul = _encode_slots([a3, c3, d3, e3, f3], dims)
     zero = encode_digits([R.zero] * 5, dims)
     one = encode_digits([R.one, R.zero, R.one, R.zero, R.one], dims)
 
@@ -417,8 +405,8 @@ def ks_ring(R: FiniteRing, s: int, size_cap: int = SIZE_CAP) -> FiniteRing:
     x3 = A[_pair(M, a, x), _pair(M, x, b)]
     y3 = A[_pair(M, y, a), _pair(M, b, y)]
     b3 = A[M[s][_pair(M, y, x)], _pair(M, b, b)]
-    add = _encode_slots([_pair(A, v, v) for v in (a, x, y, b)], dims).tolist()
-    mul = _encode_slots([a3, x3, y3, b3], dims).tolist()
+    add = _encode_slots((_pair(A, v, v) for v in (a, x, y, b)), dims)
+    mul = _encode_slots([a3, x3, y3, b3], dims)
     zero = encode_digits([R.zero] * 4, dims)
     one = encode_digits([R.one, R.zero, R.zero, R.one], dims)
     labels = []
@@ -521,8 +509,8 @@ def formal_triangular(S: FiniteRing, T: FiniteRing,
     m3 = G[L[s[:, None], m[None, :]], Rt[m[:, None], t[None, :]]]
     t3 = _pair(T.np_mul, t, t)
     add = _encode_slots([_pair(S.np_add, s, s), _pair(G, m, m), _pair(T.np_add, t, t)],
-                        dims).tolist()
-    mul = _encode_slots([s3, m3, t3], dims).tolist()
+                        dims)
+    mul = _encode_slots([s3, m3, t3], dims)
     zero = encode_digits([S.zero, M.zero, T.zero], dims)
     one = encode_digits([S.one, M.zero, T.one], dims)
     labels = []
@@ -563,8 +551,8 @@ def trivial_morita(A: FiniteRing, B: FiniteRing,
     n3 = GN[RN[n[:, None], a[None, :]], LN[b[:, None], n[None, :]]]
     b3 = _pair(B.np_mul, b, b)                                   # NM = 0
     add = _encode_slots([_pair(A.np_add, a, a), _pair(GM, m, m),
-                         _pair(GN, n, n), _pair(B.np_add, b, b)], dims).tolist()
-    mul = _encode_slots([a3, m3, n3, b3], dims).tolist()
+                         _pair(GN, n, n), _pair(B.np_add, b, b)], dims)
+    mul = _encode_slots([a3, m3, n3, b3], dims)
     zero = encode_digits([A.zero, M.zero, N.zero, B.zero], dims)
     one = encode_digits([A.one, M.zero, N.zero, B.one], dims)
     labels = []
@@ -725,9 +713,9 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = True):
 
 def _element_invariant(R: FiniteRing, addorder, x: int):
     um, im, nm = units_mask(R), idempotents_mask(R), nilpotents_mask(R)
-    z = R.zero
-    rann = sum(1 for y in R.elements() if R.mul[x][y] == z)
-    lann = sum(1 for y in R.elements() if R.mul[y][x] == z)
+    z, mul = R.zero, R.mul
+    rann = mul[x].count(z)
+    lann = sum(row[x] == z for row in mul)
     return (addorder[x], (um >> x) & 1, (im >> x) & 1, (nm >> x) & 1, rann, lann)
 
 
@@ -753,6 +741,7 @@ def ring_isomorphic(R: FiniteRing, S: FiniteRing) -> Optional[tuple[int, ...]]:
     if fpR != fpS:
         return None
     n = R.order
+    r_add, r_mul, s_add, s_mul = R.add, R.mul, S.add, S.mul   # locals for the scalar loops
     invR = {x: _element_invariant(R, ordR, x) for x in range(n)}
     invS_pool: dict = {}
     for y in range(n):
@@ -771,7 +760,7 @@ def ring_isomorphic(R: FiniteRing, S: FiniteRing) -> Optional[tuple[int, ...]]:
                     continue
                 new.add(cur)
                 for s0 in list(new):
-                    cand = R.add[s0][cur]
+                    cand = r_add[s0][cur]
                     if cand not in new:
                         frontier.add(cand)
             # subgroup closure of span + x
@@ -780,7 +769,7 @@ def ring_isomorphic(R: FiniteRing, S: FiniteRing) -> Optional[tuple[int, ...]]:
                 changed = False
                 for a in list(new):
                     for b in list(new):
-                        c = R.add[a][b]
+                        c = r_add[a][b]
                         if c not in new:
                             new.add(c)
                             changed = True
@@ -794,15 +783,15 @@ def ring_isomorphic(R: FiniteRing, S: FiniteRing) -> Optional[tuple[int, ...]]:
         base = list(mapping.items())
         for _ in range(ordR[g]):
             for x, y in base:
-                xs = R.add[x][cur_g]
-                ys = S.add[y][cur_h]
+                xs = r_add[x][cur_g]
+                ys = s_add[y][cur_h]
                 if xs in new_map:
                     if new_map[xs] != ys:
                         return None
                 else:
                     new_map[xs] = ys
-            cur_g = R.add[cur_g][g]
-            cur_h = S.add[cur_h][h]
+            cur_g = r_add[cur_g][g]
+            cur_h = s_add[cur_h][h]
         if len(set(new_map.values())) != len(new_map):
             return None
         return new_map
@@ -813,7 +802,7 @@ def ring_isomorphic(R: FiniteRing, S: FiniteRing) -> Optional[tuple[int, ...]]:
                 return None
             for x, y in mapping.items():
                 for x2, y2 in mapping.items():
-                    if mapping[R.mul[x][x2]] != S.mul[y][y2]:
+                    if mapping[r_mul[x][x2]] != s_mul[y][y2]:
                         return None
             return mapping
         g = gens[gi]
@@ -829,8 +818,8 @@ def ring_isomorphic(R: FiniteRing, S: FiniteRing) -> Optional[tuple[int, ...]]:
                 if not ok:
                     break
                 for x2, y2 in grown.items():
-                    p = R.mul[x][x2]
-                    if p in grown and grown[p] != S.mul[y][y2]:
+                    p = r_mul[x][x2]
+                    if p in grown and grown[p] != s_mul[y][y2]:
                         ok = False
                         break
             if not ok:

@@ -1,15 +1,21 @@
 """Finite unital rings as explicit operation tables.
 
 Elements are opaque indices 0..n-1; all semantics live in the addition and
-multiplication tables.  Validation is exact and happens at construction
-time, so everything downstream may assume the ring axioms hold.  Subsets of a
-ring are carried around as int bitmasks internally (bit i = element i) and as
-`ElementSet` values at the API surface.
+multiplication tables, stored once each as a read-only C-ordered int32 numpy
+array (`np_add`, `np_mul`).  The tuple-of-tuples views `add`/`mul` are built
+lazily on first read, for scalar code on small rings.  Validation is exact
+and happens at construction time, so everything downstream may assume the
+ring axioms hold.  Subsets of a ring are carried around as int bitmasks
+internally (bit i = element i) and as `ElementSet` values at the API surface.
+A table entry is a numpy scalar: convert it with int() before it reaches a
+bitmask shift, a label or JSON.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -125,6 +131,12 @@ def mask_from_bool(arr: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
+def row_masks(arr: np.ndarray) -> tuple[int, ...]:
+    """The bitmask of every row of a 2-d boolean array."""
+    packed = np.packbits(arr.astype(bool), axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
 def bool_from_mask(mask: int, n: int) -> np.ndarray:
     raw = mask.to_bytes((n + 7) // 8, "little")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
@@ -147,39 +159,40 @@ def clear_shared_cache() -> None:
         entries.clear()
 
 
-def _intern_table(rows: Sequence[Sequence[int]], pool: list[int]) -> tuple[tuple[int, ...], ...]:
-    # route every cell through one int pool so a 1024^2 table shares 1024 objects
-    return tuple(tuple(pool[v] for v in row) for row in rows)
+def _frozen_table(rows) -> np.ndarray:
+    # a private C-ordered copy, so no caller can write through to the ring
+    table = np.array(rows, dtype=np.int32, order="C")
+    table.setflags(write=False)
+    return table
 
 
 class FiniteRing:
     """An order-n unital ring given by n*n addition and multiplication tables.
 
-    Instances are immutable after construction and safe to share across
-    threads.  Construct through `validate_ring` (or a constructor in
-    `ringlab.constructions`), which checks every axiom exactly.
+    The tables are stored once, as read-only C-ordered int32 arrays `np_add`
+    and `np_mul`; `add`/`mul` are tuple-of-tuples views of them, built on
+    first read and cached.  Instances are immutable after construction and
+    safe to share across threads.  Construct through `validate_ring` (or a
+    constructor in `ringlab.constructions`), which checks every axiom exactly.
     """
 
-    __slots__ = ("name", "order", "zero", "one", "add", "mul", "labels", "meta",
-                 "_neg", "_np_add", "_np_mul", "_digest", "_cache_ref", "__weakref__")
+    __slots__ = ("name", "order", "zero", "one", "np_add", "np_mul", "labels", "meta",
+                 "_add", "_mul", "_neg", "_digest", "_cache_ref", "__weakref__")
 
-    def __init__(self, name: str, zero: int, one: int,
-                 add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]],
+    def __init__(self, name: str, zero: int, one: int, add, mul,
                  labels: Optional[Sequence[str]] = None,
                  meta: Optional[dict] = None):
-        n = len(add)
-        pool = list(range(n))
         self.name = name
-        self.order = n
-        self.zero = zero
-        self.one = one
-        self.add = _intern_table(add, pool)
-        self.mul = _intern_table(mul, pool)
+        self.np_add = _frozen_table(add)
+        self.np_mul = _frozen_table(mul)
+        self.order = len(self.np_add)
+        self.zero = operator.index(zero)
+        self.one = operator.index(one)
         self.labels = tuple(labels) if labels is not None else None
         self.meta = dict(meta) if meta else {}
+        self._add = None
+        self._mul = None
         self._neg = None
-        self._np_add = None
-        self._np_mul = None
         self._digest = None
         self._cache_ref = None
 
@@ -199,8 +212,8 @@ class FiniteRing:
         if not isinstance(other, FiniteRing):
             return NotImplemented
         return (self.order == other.order and self.zero == other.zero
-                and self.one == other.one and self.add == other.add
-                and self.mul == other.mul)
+                and self.one == other.one and np.array_equal(self.np_add, other.np_add)
+                and np.array_equal(self.np_mul, other.np_mul))
 
     def __hash__(self) -> int:
         return hash(self.digest)
@@ -215,50 +228,45 @@ class FiniteRing:
             self._cache_ref = _SHARED_CACHE.setdefault(self.digest, {})
         return self._cache_ref
 
-    # -- numpy mirrors -------------------------------------------------------
+    # -- tuple views, for scalar code on small rings ---------------------------
 
     @property
-    def np_add(self) -> np.ndarray:
-        if self._np_add is None:
-            a = np.asarray(self.add, dtype=np.int32)
-            a.setflags(write=False)
-            self._np_add = a
-        return self._np_add
+    def add(self) -> tuple[tuple[int, ...], ...]:
+        if self._add is None:
+            self._add = tuple(map(tuple, self.np_add.tolist()))
+        return self._add
 
     @property
-    def np_mul(self) -> np.ndarray:
-        if self._np_mul is None:
-            m = np.asarray(self.mul, dtype=np.int32)
-            m.setflags(write=False)
-            self._np_mul = m
-        return self._np_mul
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        if self._mul is None:
+            self._mul = tuple(map(tuple, self.np_mul.tolist()))
+        return self._mul
 
     # -- element arithmetic --------------------------------------------------
 
     @property
-    def neg(self) -> tuple[int, ...]:
+    def neg(self) -> np.ndarray:
+        """neg[a] = -a, as a read-only int array."""
         if self._neg is None:
-            z = self.zero
-            neg = [0] * self.order
-            for i, row in enumerate(self.add):
-                neg[i] = row.index(z)
-            self._neg = tuple(neg)
+            neg = np.argmax(self.np_add == self.zero, axis=1)
+            neg.setflags(write=False)
+            self._neg = neg
         return self._neg
 
     def sub(self, a: int, b: int) -> int:
-        return self.add[a][self.neg[b]]
+        return int(self.np_add[a, self.neg[b]])
 
     def power(self, a: int, k: int) -> int:
         acc = self.one
         for _ in range(k):
-            acc = self.mul[acc][a]
-        return acc
+            acc = self.np_mul[acc, a]
+        return int(acc)
 
     def elements(self) -> range:
         return range(self.order)
 
     def label(self, i: int) -> str:
-        return self.labels[i] if self.labels else str(i)
+        return self.labels[i] if self.labels else str(int(i))
 
     def full_mask(self) -> int:
         return (1 << self.order) - 1
@@ -297,7 +305,7 @@ class ElementSet:
 
 def element_set(R: FiniteRing, elems: Iterable[int], kind: str = "subset",
                 check: bool = True) -> ElementSet:
-    es = ElementSet(R, tuple(sorted(set(elems))), kind)
+    es = ElementSet(R, tuple(sorted({int(x) for x in elems})), kind)
     if check:
         _check_element_set(es)
     return es
@@ -311,6 +319,40 @@ def element_set_from_mask(R: FiniteRing, mask: int, kind: str = "subset",
     return es
 
 
+def ideal_failure(R: FiniteRing, m: int, two_sided: bool) -> Optional[tuple[str, tuple]]:
+    """The first closure law the masked set breaks as a right (or two-sided)
+    ideal, with its witness, or None if it is one.
+
+    Laws in report order: contains zero; then for each member a ascending,
+    -a, a + b (b in the set ascending) and a r (r ascending); then, for a
+    two-sided ideal, r a for each member a ascending and r ascending.
+    """
+    n = R.order
+    in_m = bool_from_mask(m, n)
+    if not in_m[R.zero]:
+        return "contains zero", (R.zero,)
+    elems = np.flatnonzero(in_m)
+    ok_neg = in_m[R.neg[elems]]
+    ok_add = in_m[R.np_add[np.ix_(elems, elems)]]
+    ok_mul = in_m[R.np_mul[elems]]
+    row_ok = ok_neg & ok_add.all(axis=1) & ok_mul.all(axis=1)
+    if not row_ok.all():
+        i = int(np.argmin(row_ok))
+        a = int(elems[i])
+        if not ok_neg[i]:
+            return "negation closure", (a,)
+        if not ok_add[i].all():
+            return "addition closure", (a, int(elems[np.argmin(ok_add[i])]))
+        return "right multiplication closure", (a, int(np.argmin(ok_mul[i])))
+    if two_sided:
+        ok_left = in_m[R.np_mul[:, elems]]
+        col_ok = ok_left.all(axis=0)
+        if not col_ok.all():
+            i = int(np.argmin(col_ok))
+            return "left multiplication closure", (int(np.argmin(ok_left[:, i])), int(elems[i]))
+    return None
+
+
 def _check_element_set(es: ElementSet) -> None:
     R, kind = es.ring, es.kind
     if kind not in ("subset", "right-ideal", "two-sided-ideal"):
@@ -319,25 +361,10 @@ def _check_element_set(es: ElementSet) -> None:
         raise DimensionMismatch("element index out of range")
     if kind == "subset":
         return
-    m = es.mask
-    if not (m >> R.zero) & 1:
-        raise AxiomViolation(f"{kind} contains zero", (R.zero,))
-    for a in es.elems:
-        row_add = R.add[a]
-        if not (m >> R.neg[a]) & 1:
-            raise AxiomViolation(f"{kind} negation closure", (a,))
-        for b in es.elems:
-            if not (m >> row_add[b]) & 1:
-                raise AxiomViolation(f"{kind} addition closure", (a, b))
-        row_mul = R.mul[a]
-        for r in R.elements():
-            if not (m >> row_mul[r]) & 1:
-                raise AxiomViolation(f"{kind} right multiplication closure", (a, r))
-    if kind == "two-sided-ideal":
-        for a in es.elems:
-            for r in R.elements():
-                if not (m >> R.mul[r][a]) & 1:
-                    raise AxiomViolation("two-sided-ideal left multiplication closure", (r, a))
+    failure = ideal_failure(R, es.mask, kind == "two-sided-ideal")
+    if failure is not None:
+        law, witness = failure
+        raise AxiomViolation(f"{kind} {law}", witness)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +517,30 @@ def check_ring_axioms(R: FiniteRing) -> None:
                            "the exhaustive scan found no violation")
 
 
+def _is_int(v) -> bool:
+    # bool is an int subclass, but true/false in a table is a malformed entry
+    return type(v) is int
+
+
+def _check_table(rows, n: int, tname: str) -> None:
+    """DimensionMismatch unless rows is n rows of n plain ints in 0..n-1."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()       # int arrays pass; float or bool entries do not
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)) or len(row) != n:
+            length = len(row) if isinstance(row, (list, tuple)) else type(row).__name__
+            raise DimensionMismatch(f"{tname} row {i} has length {length}, expected {n}")
+    cells = itertools.chain.from_iterable
+    if not (set(map(type, cells(rows))) <= {int}
+            and min(cells(rows)) >= 0 and max(cells(rows)) < n):
+        for i, row in enumerate(rows):
+            for v in row:
+                if not _is_int(v):
+                    raise DimensionMismatch(f"{tname}[{i}] entry {v!r} is not an integer")
+                if not 0 <= v < n:
+                    raise DimensionMismatch(f"{tname}[{i}] entry {v} out of range 0..{n - 1}")
+
+
 def validate_ring(name: str, zero: int, one: int,
                   add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]],
                   labels: Optional[Sequence[str]] = None,
@@ -497,19 +548,17 @@ def validate_ring(name: str, zero: int, one: int,
                   size_cap: int = SIZE_CAP, warn_at: int = SIZE_WARN) -> FiniteRing:
     """Build a FiniteRing after exactly checking every axiom (`check_ring_axioms`).
 
-    Raises DimensionMismatch for structural problems and AxiomViolation (with
-    the first failing witness) for algebraic ones.
+    add and mul are lists of lists of plain ints (bool is refused) or integer
+    arrays.  Raises DimensionMismatch for structural problems and
+    AxiomViolation (with the first failing witness) for algebraic ones.
     """
     n = len(add)
     if n == 0 or len(mul) != n:
         raise DimensionMismatch(f"need two n x n tables, got add:{len(add)} mul:{len(mul)}")
     for t, tname in ((add, "add"), (mul, "mul")):
-        for i, row in enumerate(t):
-            if len(row) != n:
-                raise DimensionMismatch(f"{tname} row {i} has length {len(row)}, expected {n}")
-            for v in row:
-                if not (0 <= v < n):
-                    raise DimensionMismatch(f"{tname}[{i}] entry {v} out of range 0..{n - 1}")
+        _check_table(t, n, tname)
+    if not (_is_int(zero) and _is_int(one)):
+        raise DimensionMismatch(f"zero/one must be integers, got {zero!r}/{one!r}")
     if not (0 <= zero < n and 0 <= one < n):
         raise DimensionMismatch("zero/one index out of range")
     if labels is not None and len(labels) != n:
@@ -533,8 +582,8 @@ def ring_to_json_dict(R: FiniteRing) -> dict:
         "order": R.order,
         "zero": R.zero,
         "one": R.one,
-        "add": [list(row) for row in R.add],
-        "mul": [list(row) for row in R.mul],
+        "add": R.np_add.tolist(),
+        "mul": R.np_mul.tolist(),
     }
     if R.labels is not None:
         d["labels"] = list(R.labels)
@@ -546,10 +595,14 @@ def dumps_ring(R: FiniteRing) -> str:
 
 
 def ring_from_json_dict(d: dict, size_cap: int = SIZE_CAP) -> FiniteRing:
+    if not isinstance(d, dict):
+        raise DimensionMismatch("ring JSON must be an object")
     for key in ("name", "order", "zero", "one", "add", "mul"):
         if key not in d:
             raise DimensionMismatch(f"ring JSON missing key {key!r}")
-    if d["order"] != len(d["add"]):
+    if not isinstance(d["add"], list) or not isinstance(d["mul"], list):
+        raise DimensionMismatch("ring JSON add and mul must be lists of rows")
+    if not _is_int(d["order"]) or d["order"] != len(d["add"]):
         raise DimensionMismatch("declared order does not match table size")
     return validate_ring(d["name"], d["zero"], d["one"], d["add"], d["mul"],
                          labels=d.get("labels"), size_cap=size_cap)
@@ -573,15 +626,9 @@ def _cached(R: FiniteRing, key, compute):
 
 def units_mask(R: FiniteRing) -> int:
     def compute():
-        one = R.one
-        m = 0
-        for u in R.elements():
-            row = R.mul[u]
-            for v in R.elements():
-                if row[v] == one and R.mul[v][u] == one:
-                    m |= 1 << u
-                    break
-        return m
+        is_one = R.np_mul == R.one
+        # u is a unit iff some v has uv = 1 and vu = 1
+        return mask_from_bool((is_one & is_one.T).any(axis=1))
     return _cached(R, "units_mask", compute)
 
 
@@ -591,17 +638,16 @@ def units(R: FiniteRing) -> ElementSet:
 
 
 def unit_inverse(R: FiniteRing, u: int) -> int:
-    one = R.one
-    row = R.mul[u]
-    for v in R.elements():
-        if row[v] == one and R.mul[v][u] == one:
-            return v
-    raise RinglabError(f"element {u} is not a unit")
+    M = R.np_mul
+    inverses = np.flatnonzero((M[u] == R.one) & (M[:, u] == R.one))
+    if inverses.size == 0:
+        raise RinglabError(f"element {u} is not a unit")
+    return int(inverses[0])
 
 
 def idempotents_mask(R: FiniteRing) -> int:
     def compute():
-        return mask_of(x for x in R.elements() if R.mul[x][x] == x)
+        return mask_from_bool(R.np_mul.diagonal() == np.arange(R.order))
     return _cached(R, "idempotents_mask", compute)
 
 
@@ -610,19 +656,25 @@ def idempotents(R: FiniteRing) -> ElementSet:
     return element_set_from_mask(R, idempotents_mask(R), "subset", check=False)
 
 
-def nilpotents_mask(R: FiniteRing) -> int:
-    # powers of x cycle within order(R) steps, so the exponent bound n suffices
+def high_powers(R: FiniteRing) -> np.ndarray:
+    """x^(2^k) for every x, with 2^k >= order(R).
+
+    The powers of x take at most order(R) distinct values, so some power of
+    x lies in a two-sided ideal I iff this one does (I absorbs products).
+    """
     def compute():
-        z = R.zero
-        m = 0
-        for x in R.elements():
-            p = x
-            for _ in range(R.order):
-                if p == z:
-                    m |= 1 << x
-                    break
-                p = R.mul[p][x]
-        return m
+        M = R.np_mul
+        p = np.arange(R.order)
+        for _ in range((R.order - 1).bit_length()):
+            p = M[p, p]
+        p.setflags(write=False)
+        return p
+    return _cached(R, "high_powers", compute)
+
+
+def nilpotents_mask(R: FiniteRing) -> int:
+    def compute():
+        return mask_from_bool(high_powers(R) == R.zero)
     return _cached(R, "nilpotents_mask", compute)
 
 
@@ -632,20 +684,24 @@ def nilpotents(R: FiniteRing) -> ElementSet:
 
 def left_annihilator(R: FiniteRing, a: int) -> ElementSet:
     """l_R(a) = {x : x a = 0}, returned as a plain subset (it is a left ideal)."""
-    z = R.zero
-    return element_set(R, (x for x in R.elements() if R.mul[x][a] == z), "subset", check=False)
+    return element_set_from_mask(R, mask_from_bool(R.np_mul[:, a] == R.zero), "subset",
+                                 check=False)
 
 
 def right_annihilator(R: FiniteRing, a: int) -> ElementSet:
     """r_R(a) = {x : a x = 0}."""
-    z = R.zero
-    row = R.mul[a]
-    return element_set(R, (x for x in R.elements() if row[x] == z), "subset", check=False)
+    return element_set_from_mask(R, mask_from_bool(R.np_mul[a] == R.zero), "subset",
+                                 check=False)
+
+
+def _commute_masks(R: FiniteRing) -> tuple[int, ...]:
+    # row a is comm(a); the relation is symmetric, so it is also column a
+    M = R.np_mul
+    return _cached(R, "commute_masks", lambda: row_masks(M == M.T))
 
 
 def commutant_mask(R: FiniteRing, a: int) -> int:
-    M = R.np_mul
-    return mask_from_bool(M[:, a] == M[a, :])
+    return _commute_masks(R)[a]
 
 
 def commutant(R: FiniteRing, a: int) -> ElementSet:
@@ -654,11 +710,12 @@ def commutant(R: FiniteRing, a: int) -> ElementSet:
 
 
 def double_commutant_mask(R: FiniteRing, a: int) -> int:
-    M = R.np_mul
-    comm = array_from_mask(commutant_mask(R, a), R.order)
     # x is in comm^2(a) iff x commutes with every member of comm(a)
-    eq = M[np.ix_(np.arange(R.order), comm)] == M[np.ix_(comm, np.arange(R.order))].T
-    return mask_from_bool(eq.all(axis=1))
+    comm = _commute_masks(R)
+    m = R.full_mask()
+    for y in mask_iter(comm[a]):
+        m &= comm[y]
+    return m
 
 
 def double_commutant(R: FiniteRing, a: int) -> ElementSet:

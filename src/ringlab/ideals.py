@@ -18,8 +18,8 @@ import numpy as np
 from .core import (
     LATTICE_CAP, QUANTIFIER_CAP, CrossCheckMismatch, ElementSet, FiniteRing,
     LatticeCap, SocleNotTwoSided, _cached, array_from_mask, bool_from_mask,
-    element_set_from_mask, idempotents_mask, mask_from_bool, mask_iter,
-    mask_of, units_mask)
+    element_set_from_mask, high_powers, idempotents_mask, mask_from_bool, mask_iter,
+    row_masks, units_mask)
 from .constructions import is_two_sided_mask, quotient_ring
 
 
@@ -29,7 +29,10 @@ from .constructions import is_two_sided_mask, quotient_ring
 def cyclic_masks(R: FiniteRing) -> tuple[int, ...]:
     """aR for every a, as bitmasks (row a of the multiplication table)."""
     def compute():
-        return tuple(mask_of(row) for row in R.mul)
+        n = R.order
+        member = np.zeros((n, n), dtype=bool)
+        member[np.arange(n)[:, None], R.np_mul] = True
+        return row_masks(member)
     return _cached(R, "cyc", compute)
 
 
@@ -269,11 +272,7 @@ def _zhou_by_socle_quotient(R: FiniteRing, lattice_cap: int) -> int:
     soc = socle(R, lattice_cap)
     q = quotient_ring(R, soc)
     jq = jacobson_radical_mask(q.ring, lattice_cap)
-    m = 0
-    for x in R.elements():
-        if (jq >> q.proj[x]) & 1:
-            m |= 1 << x
-    return m
+    return mask_from_bool(bool_from_mask(jq, q.ring.order)[list(q.proj)])
 
 
 def zhou_radical(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> ElementSet:
@@ -364,11 +363,8 @@ def r2_ideal(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> ElementSet:
 
 def _bound_mask(R: FiniteRing, M: int) -> int:
     """Largest two-sided ideal inside the right ideal M: {r : R r is in M}."""
-    out = 0
-    for r in mask_iter(M):
-        if all((M >> R.mul[s][r]) & 1 for s in R.elements()):
-            out |= 1 << r
-    return out
+    in_m = bool_from_mask(M, R.order)
+    return mask_from_bool(in_m & in_m[R.np_mul].all(axis=0))
 
 
 def r4_ideal_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
@@ -397,17 +393,8 @@ def r4_ideal_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
                 if _bound_mask(Q, Mq) != zero_bit_q:
                     continue  # Q/Mq is not faithful over Q
                 # preimage of Mq in R
-                Mr = 0
-                for xx in R.elements():
-                    if (Mq >> q.proj[xx]) & 1:
-                        Mr |= 1 << xx
-                singular = True
-                for xx in R.elements():
-                    ann = mask_of(r for r in R.elements() if (Mr >> R.mul[xx][r]) & 1)
-                    if not is_essential_mask(R, ann):
-                        singular = False
-                        break
-                if singular:
+                Mr = mask_from_bool(bool_from_mask(Mq, Q.order)[list(q.proj)])
+                if _singular_quotient(R, Mr):
                     found = True
                     break
             if found:
@@ -422,11 +409,9 @@ def r4_ideal_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
 def _singular_quotient(R: FiniteRing, L: int) -> bool:
     """Is R/L singular as a right R-module (every element has essential annihilator)?"""
     def compute():
-        for x in R.elements():
-            ann = mask_of(r for r in R.elements() if (L >> R.mul[x][r]) & 1)
-            if not is_essential_mask(R, ann):
-                return False
-        return True
+        # row x of the product table, read through L, is the annihilator of x + L
+        anns = row_masks(bool_from_mask(L, R.order)[R.np_mul])
+        return all(is_essential_mask(R, ann) for ann in anns)
     return _cached(R, ("singular", L), compute)
 
 
@@ -464,19 +449,11 @@ def r2_ideal_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
 # delta-sharp and semiprimeness
 
 def delta_sharp_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
-    """{x : some power of x lies in delta(R)}; powers cycle within order(R)
-    steps, so that exponent bound is exhaustive."""
+    """{x : some power of x lies in delta(R)}, decided on one high power of
+    each x (`core.high_powers`), since delta(R) is a two-sided ideal."""
     def compute():
-        d = zhou_radical_mask(R, lattice_cap)
-        out = 0
-        for x in R.elements():
-            p = x
-            for _ in range(R.order):
-                if (d >> p) & 1:
-                    out |= 1 << x
-                    break
-                p = R.mul[p][x]
-        return out
+        in_d = bool_from_mask(zhou_radical_mask(R, lattice_cap), R.order)
+        return mask_from_bool(in_d[high_powers(R)])
     return _cached(R, ("delta_sharp", lattice_cap), compute)
 
 
@@ -487,14 +464,10 @@ def delta_sharp(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> ElementSet:
 
 def is_semiprime_ideal(R: FiniteRing, I: ElementSet | int) -> bool:
     """aRa inside I implies a in I (checked in the contrapositive)."""
-    m = I if isinstance(I, int) else I.mask
-    for a in R.elements():
-        if (m >> a) & 1:
-            continue
-        row = R.mul[a]
-        if all((m >> R.mul[row[r]][a]) & 1 for r in R.elements()):
-            return False
-    return True
+    in_m = bool_from_mask(I if isinstance(I, int) else I.mask, R.order)
+    M = R.np_mul
+    ara = M[M, np.arange(R.order)[:, None]]      # ara[a, r] = (a r) a
+    return not bool((~in_m & in_m[ara].all(axis=1)).any())
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import (
     ARMENDARIZ_CAP, LATTICE_CAP, CharacterizationMismatch, CrossCheckMismatch,
-    FiniteRing, SizeCap, UnknownPredicate, _cached, bool_from_mask,
+    FiniteRing, SizeCap, UnknownPredicate, _cached, array_from_mask, bool_from_mask,
     double_commutant_mask, idempotents_mask, mask_iter, nilpotents_mask,
 )
 from .constructions import quotient_ring
@@ -149,10 +149,10 @@ def is_local(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> PropertyResu
 def is_delta_clean(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> PropertyResult:
     """Every x is idempotent + element of delta(R)."""
     in_d = bool_from_mask(zhou_radical_mask(R, lattice_cap), R.order)
-    idem = list(mask_iter(idempotents_mask(R)))
-    for x in R.elements():
-        if not any(in_d[R.sub(x, e)] for e in idem):
-            return PropertyResult(False, (x,), "exhaustive decomposition scan")
+    idem = array_from_mask(idempotents_mask(R), R.order)
+    clean = in_d[R.np_add[:, R.neg[idem]]].any(axis=1)     # x - e in delta for some e
+    if not clean.all():
+        return PropertyResult(False, (int(np.argmin(clean)),), "exhaustive decomposition scan")
     return PropertyResult(True, None, "exhaustive decomposition scan")
 
 
@@ -163,11 +163,12 @@ def is_delta_quasipolar(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> P
     if d == R.full_mask():
         return PropertyResult(True, None, method)
     in_d = bool_from_mask(d, R.order)
-    idem = list(mask_iter(idempotents_mask(R)))
+    idem = array_from_mask(idempotents_mask(R), R.order)
+    near = in_d[R.np_add[:, idem]]                # near[a, i]: a + idem[i] in delta
     M = R.np_mul
     commutative = bool(np.array_equal(M, M.T))
     for a in R.elements():
-        cands = [p for p in idem if in_d[R.add[a][p]]]
+        cands = idem[near[a]].tolist()
         if cands and not commutative:
             dc = double_commutant_mask(R, a)
             cands = [p for p in cands if (dc >> p) & 1]
@@ -204,12 +205,13 @@ def is_delta_linear_armendariz(R: FiniteRing, lattice_cap: int = LATTICE_CAP,
 def idempotents_lift_mod_delta(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> PropertyResult:
     """Every f with f^2 - f in delta(R) is within delta(R) of a true idempotent."""
     in_d = bool_from_mask(zhou_radical_mask(R, lattice_cap), R.order)
-    idem = list(mask_iter(idempotents_mask(R)))
-    for f in R.elements():
-        if not in_d[R.sub(R.mul[f][f], f)]:
-            continue
-        if not any(in_d[R.sub(e, f)] for e in idem):
-            return PropertyResult(False, (f,), "coset idempotent scan")
+    A, neg = R.np_add, R.neg
+    idem = array_from_mask(idempotents_mask(R), R.order)
+    near = in_d[A[R.np_mul.diagonal(), neg]]             # f^2 - f in delta
+    lifts = in_d[A[idem][:, neg]].any(axis=0)            # e - f in delta for some e
+    bad = near & ~lifts
+    if bad.any():
+        return PropertyResult(False, (int(np.argmax(bad)),), "coset idempotent scan")
     return PropertyResult(True, None, "coset idempotent scan")
 
 
@@ -218,7 +220,7 @@ def corner_containment(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> Pr
     in_d = bool_from_mask(zhou_radical_mask(R, lattice_cap), R.order)
     M = R.np_mul
     for e in mask_iter(idempotents_mask(R)):
-        ome = R.sub(R.one, e)
+        ome = R.np_add[R.one, R.neg[e]]
         left = M[M[e], ome]      # e x (1-e) over all x
         right = M[M[ome], e]     # (1-e) x e
         bad = ~in_d[left] | ~in_d[right]

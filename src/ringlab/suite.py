@@ -19,7 +19,7 @@ from .core import (
     ARMENDARIZ_CAP, LATTICE_CAP, QUANTIFIER_CAP, SIZE_CAP, TOOL_VERSION,
     CharacterizationMismatch, CrossCheckMismatch, FiniteRing, SizeCap, array_from_mask,
     bool_from_mask, double_commutant_mask, idempotents_mask, is_central, mask_from_bool,
-    mask_iter, mask_of, nilpotents_mask, units_mask)
+    mask_iter, nilpotents_mask, units_mask)
 from .constructions import (
     construct, corner_ring, direct_product, enumerate_unital_rings, formal_triangular,
     hst_ring, ks_ring, lst_ring, make_zn, matrix_ring, quotient_ring, trivial_morita,
@@ -136,8 +136,10 @@ def _shape_mask(member: CorpusMember, ctx: SuiteContext) -> Optional[tuple[int, 
     if meta.get("kind") == "corner":
         # e delta(P) e, carried into the corner by the embedding
         P, e = meta["bases"][0], meta["e"]
-        side = {P.mul[P.mul[e][x]][e] for x in mask_iter(ctx.delta(P))}
-        return mask_of(i for i, p in enumerate(meta["embed"]) if p in side), "eq"
+        M = P.np_mul
+        in_side = np.zeros(P.order, dtype=bool)
+        in_side[M[M[e, array_from_mask(ctx.delta(P), P.order)], e]] = True
+        return mask_from_bool(in_side[meta["embed"]]), "eq"
     if meta.get("kind") == "hst":
         # free digits (c, d, e); the entries a = d + sc, d and f = d - te lie in delta
         B, s, t = meta["bases"][0], meta["s"], meta["t"]
@@ -260,9 +262,10 @@ def _quasipolar_transfer(ctx, R):
     if checked and not res.verdict:
         return 1, Failure("delta-quasipolar but not delta-reversible", res.witness)
     in_d = bool_from_mask(ctx.delta(R), R.order)
-    idem = list(mask_iter(idempotents_mask(R)))
+    idem = array_from_mask(idempotents_mask(R), R.order)
+    idem = idem[~in_d[idem]]
     for a in mask_iter(nilpotents_mask(R)):
-        escaping = [p for p in idem if in_d[R.add[a][p]] and not in_d[p]]
+        escaping = idem[in_d[R.np_add[a, idem]]].tolist()
         dc = double_commutant_mask(R, a) if escaping else 0
         p = next((p for p in escaping if (dc >> p) & 1), None)
         if p is not None:

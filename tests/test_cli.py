@@ -6,6 +6,8 @@ import pytest
 
 from ringlab.cli import main
 
+from test_core import NON_INTEGER_ENTRIES, with_entry
+
 
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
@@ -45,6 +47,16 @@ def test_construct_parse_error_exit_2(capsys):
     code, _, err = run_cli("construct", "Zn(", capsys=capsys)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("field,row,col,value", NON_INTEGER_ENTRIES)
+def test_non_integer_ring_json_exit_2(tmp_path, capsys, field, row, col, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(with_entry(field, row, col, value)))
+    code, _, err = run_cli("construct", f'File("{path}")', capsys=capsys)
+    assert code == 2
+    assert err.startswith("error:") and "bad arguments" not in err
+    assert "Traceback" not in err
 
 
 def test_radical_delta_z4(capsys):

@@ -174,6 +174,40 @@ def test_json_missing_key_rejected():
         loads_ring(json.dumps({"name": "x", "order": 1}))
 
 
+Z2_JSON = {"name": "Z2", "order": 2, "zero": 0, "one": 1,
+           "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
+# (field, row, column, value): one entry, zero or one that is not a plain int
+NON_INTEGER_ENTRIES = [("add", 0, 1, 1.5), ("add", 0, 1, "1"), ("add", 0, 1, True),
+                       ("mul", 1, 1, 1.0), ("mul", 1, None, 1), ("zero", None, None, 0.0),
+                       ("one", None, None, True)]
+
+
+def with_entry(field, row, col, value):
+    d = json.loads(json.dumps(Z2_JSON))
+    if row is None:
+        d[field] = value
+    elif col is None:
+        d[field][row] = value
+    else:
+        d[field][row][col] = value
+    return d
+
+
+@pytest.mark.parametrize("field,row,col,value", NON_INTEGER_ENTRIES)
+def test_non_integer_entries_rejected(field, row, col, value):
+    with pytest.raises(DimensionMismatch):
+        loads_ring(json.dumps(with_entry(field, row, col, value)))
+
+
+def test_integer_arrays_accepted_and_float_arrays_rejected():
+    import numpy as np
+    add, mul = zn_tables(4)
+    R = validate_ring("Z4", 0, 1, np.array(add), np.array(mul, dtype=np.uint8))
+    assert R == validate_ring("Z4", 0, 1, add, mul)
+    with pytest.raises(DimensionMismatch):
+        validate_ring("Z4", 0, 1, np.array(add, dtype=float), mul)
+
+
 def test_neg_and_sub(zn):
     Z5 = zn[5]
     assert Z5.neg[2] == 3

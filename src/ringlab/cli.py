@@ -114,7 +114,7 @@ def cmd_suite(args) -> int:
     spec, members = build_corpus(args.corpus, size_cap=args.size_cap)
     if args.verbose:
         print(f"corpus {spec}: {len(members)} members", file=sys.stderr)
-    report = run_theorem_suite(members, spec, jobs=args.jobs,
+    report = run_theorem_suite(members, spec,
                                lattice_cap=args.lattice_cap,
                                quantifier_cap=args.quantifier_cap,
                                armendariz_cap=args.armendariz_cap)
@@ -204,7 +204,8 @@ def _parser() -> argparse.ArgumentParser:
     common(sp, ring_arg=False)
     sp.add_argument("--corpus", default=os.environ.get("RINGLAB_CORPUS", "default"),
                     help="corpus preset, expression list, or @file")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility and ignored: the suite runs in one thread")
     sp.set_defaults(fn=cmd_suite)
 
     sp = sub.add_parser("hunt", help="hunt for a counterexample to an implication")

@@ -23,9 +23,10 @@ import numpy as np
 from .core import (
     SIZE_CAP, BimoduleAxiomViolation, ClosureViolation, DimensionMismatch,
     ElementSet, FiniteRing, NotCentral, NotCentralUnit, NotIdempotent,
-    NotTwoSidedIdeal, ParseError, SizeCap, check_ring_axioms,
-    element_set_from_mask, ideal_failure, is_central, loads_ring, mask_of,
-    nilpotents_mask, idempotents_mask, units_mask,
+    NotTwoSidedIdeal, ParseError, SizeCap, additive_span, check_ring_axioms,
+    coset_labels, element_indices, element_set_from_mask, ideal_failure,
+    is_central, loads_ring, mask_from_bool, nilpotents_mask, idempotents_mask,
+    units_mask,
 )
 
 _VALIDATED: set[str] = set()
@@ -227,6 +228,7 @@ def _subtables(R: FiniteRing, elems: np.ndarray, index: np.ndarray):
 
 def corner_ring(R: FiniteRing, e: int, size_cap: int = SIZE_CAP) -> CornerRing:
     """The corner eRe with identity e, plus the embedding back into R."""
+    [e] = element_indices(R, [e], "e")
     M = R.np_mul
     if M[e, e] != e:
         raise NotIdempotent(f"element {e} of {R.name} is not idempotent")
@@ -265,7 +267,7 @@ def quotient_ring(R: FiniteRing, I: ElementSet, size_cap: int = SIZE_CAP) -> Quo
     if not is_two_sided_mask(R, I.mask):
         raise NotTwoSidedIdeal(f"{I.elems} is not a two-sided ideal of {R.name}")
     ideal = list(I.elems)
-    rep_of = R.np_add[:, ideal].min(axis=1)       # least element of x + I
+    rep_of = coset_labels(R, I.mask)
     reps = np.unique(rep_of)
     proj = np.searchsorted(reps, rep_of)
     add, mul = _subtables(R, reps, proj)
@@ -279,25 +281,21 @@ def quotient_ring(R: FiniteRing, I: ElementSet, size_cap: int = SIZE_CAP) -> Quo
 
 
 def two_sided_ideal_generated(R: FiniteRing, gens: Iterable[int]) -> ElementSet:
-    """Smallest two-sided ideal containing gens (additive + two-sided mult closure)."""
-    A, M = R.np_add, R.np_mul
-    cur = set(gens) | {R.zero}
-    while True:
-        arr = np.fromiter(sorted(cur), dtype=np.int64)
-        grown = set(np.unique(A[np.ix_(arr, arr)]).tolist())
-        grown |= set(np.unique(M[arr, :]).tolist())
-        grown |= set(np.unique(M[:, arr]).tolist())
-        grown |= {int(R.neg[x]) for x in cur}
-        if grown == cur:
-            break
-        cur = grown
-    return element_set_from_mask(R, mask_of(cur), "two-sided-ideal", check=False)
+    """Smallest two-sided ideal containing gens: the additive span of the
+    products r g s (r, s in R), which absorbs products on both sides."""
+    M = R.np_mul
+    products = np.zeros(R.order, dtype=bool)
+    for g in element_indices(R, gens, "generator"):
+        products[M[np.unique(M[:, g])]] = True
+    _, reached = additive_span(R.np_add, R.zero, np.flatnonzero(products))
+    return element_set_from_mask(R, mask_from_bool(reached), "two-sided-ideal", check=False)
 
 
 # ---------------------------------------------------------------------------
 # H_(s,t), L_(s,t) and generalized matrix rings
 
 def _require_central_unit(R: FiniteRing, x: int, role: str) -> None:
+    element_indices(R, [x], role)
     if not is_central(R, x):
         raise NotCentralUnit(f"{role}={x} is not central in {R.name}")
     if not (units_mask(R) >> x) & 1:
@@ -393,6 +391,7 @@ def lst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteR
 
 def ks_ring(R: FiniteRing, s: int, size_cap: int = SIZE_CAP) -> FiniteRing:
     """Generalized 2x2 matrix ring K_s(R): cross products scaled by central s."""
+    element_indices(R, [s], "s")
     if not is_central(R, s):
         raise NotCentral(f"s={s} is not central in {R.name}")
     k = R.order
@@ -747,35 +746,7 @@ def ring_isomorphic(R: FiniteRing, S: FiniteRing) -> Optional[tuple[int, ...]]:
     for y in range(n):
         invS_pool.setdefault(_element_invariant(S, ordS, y), []).append(y)
 
-    gens: list[int] = []
-    span = {R.zero}
-    for x in range(n):
-        if x not in span:
-            gens.append(x)
-            new = set(span)
-            frontier = {x}
-            while frontier:
-                cur = frontier.pop()
-                if cur in new:
-                    continue
-                new.add(cur)
-                for s0 in list(new):
-                    cand = r_add[s0][cur]
-                    if cand not in new:
-                        frontier.add(cand)
-            # subgroup closure of span + x
-            changed = True
-            while changed:
-                changed = False
-                for a in list(new):
-                    for b in list(new):
-                        c = r_add[a][b]
-                        if c not in new:
-                            new.add(c)
-                            changed = True
-            span = new
-        if len(span) == n:
-            break
+    gens = additive_span(R.np_add, R.zero, np.arange(n))[0].tolist()
 
     def extend(mapping: dict, g: int, h: int) -> Optional[dict]:
         new_map = dict(mapping)

@@ -303,6 +303,19 @@ class ElementSet:
         return tuple(self.ring.label(i) for i in self.elems)
 
 
+def element_indices(R: FiniteRing, xs: Iterable, role: str) -> list[int]:
+    """xs as plain ints; DimensionMismatch unless each one indexes an element
+    of R (a negative index would silently wrap around in a numpy table)."""
+    out = []
+    for x in xs:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) \
+                or not 0 <= x < R.order:
+            raise DimensionMismatch(
+                f"{role} {x!r} is not an element of {R.name} (0..{R.order - 1})")
+        out.append(int(x))
+    return out
+
+
 def element_set(R: FiniteRing, elems: Iterable[int], kind: str = "subset",
                 check: bool = True) -> ElementSet:
     es = ElementSet(R, tuple(sorted({int(x) for x in elems})), kind)
@@ -365,6 +378,44 @@ def _check_element_set(es: ElementSet) -> None:
     if failure is not None:
         law, witness = failure
         raise AxiomViolation(f"{kind} {law}", witness)
+
+
+# ---------------------------------------------------------------------------
+# additive subgroups
+
+def additive_span(A: np.ndarray, zero: int,
+                  candidates: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Greedy generators S of the additive subgroup spanned by `candidates`
+    (ascending indices), and that subgroup as a boolean array.
+
+    The least candidate g not yet reached joins S, and the reached set H
+    grows to H + <g>: add the translates H + 2^j g until 2^j g falls inside,
+    which is the closure of zero under x -> x + g (g in S) in a group.  Each
+    new generator of a group at least doubles H, so a group needs
+    2^|S| <= n; None when S outgrows that (+ is then not associative, given
+    identity and inverses).  Every reached element is a sum of members of S.
+    """
+    n = len(A)
+    reached = np.zeros(n, dtype=bool)
+    reached[zero] = True
+    gens: list[int] = []
+    while True:
+        left = candidates[~reached[candidates]]
+        if not left.size:
+            return np.array(gens, dtype=np.intp), reached
+        gens.append(int(left[0]))
+        if 1 << len(gens) > n:
+            return None
+        x = gens[-1]
+        while not reached[x]:
+            reached[A[np.flatnonzero(reached), x]] = True
+            x = A[x, x]
+
+
+def coset_labels(R: FiniteRing, m: int) -> np.ndarray:
+    """label[x] = the least element of x + I, for the additive subgroup I
+    given as a mask: x and y lie in one coset iff their labels agree."""
+    return R.np_add[:, array_from_mask(m, R.order)].min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -447,31 +498,6 @@ def _scan_laws(R: FiniteRing, laws: Sequence[str]) -> None:
             raise AxiomViolation(law, w)
 
 
-def _additive_generators(A: np.ndarray, zero: int) -> Optional[np.ndarray]:
-    """Greedy generators S of (R,+): add the least element not yet reached
-    from zero by moves x -> x + g (g in S) until all are reached.
-
-    Each new generator of a group at least doubles the subgroup reached, so
-    a group needs 2^|S| <= n; None when S outgrows that (+ is then not
-    associative, given identity and inverses).
-    """
-    n = len(A)
-    reached = np.zeros(n, dtype=bool)
-    reached[zero] = True
-    gens: list[int] = []
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        if 1 << len(gens) > n:
-            return None
-        frontier = reached.copy()
-        while frontier.any():
-            step = np.zeros(n, dtype=bool)
-            step[A[np.ix_(np.flatnonzero(frontier), gens)]] = True
-            frontier = step & ~reached
-            reached |= frontier
-    return np.array(gens, dtype=np.intp)
-
-
 def _distributive_on(A: np.ndarray, M: np.ndarray, S: np.ndarray) -> bool:
     # Given (R,+) an abelian group, {y : a(x+y) = ax + ay for all a, x} is
     # closed under +, so holding on S it holds on R; likewise on the right.
@@ -505,11 +531,12 @@ def check_ring_axioms(R: FiniteRing) -> None:
     A, M = _small_tables(R)
     _check_additive_basics(R, A)
     # Light's test: {g : (x+g)+y = x+(g+y) for all x, y} is closed under +
-    S = _additive_generators(A, R.zero)
-    if S is None or any(not np.array_equal(A[A[:, g]], A[:, A[g]]) for g in S):
+    span = additive_span(A, R.zero, np.arange(R.order))
+    if span is None or any(not np.array_equal(A[A[:, g]], A[:, A[g]]) for g in span[0]):
         _scan_laws(R, _ADDITIVE_LAWS)
         raise RinglabError(f"{R.name}: additive generator check failed but the "
                            "exhaustive scan found no violation")
+    S = span[0]
     _check_identities(R, M)
     if not (_distributive_on(A, M, S) and _associative_on(M, S)):
         _scan_laws(R, _MULTIPLICATIVE_LAWS)

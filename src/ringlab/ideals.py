@@ -4,9 +4,14 @@ The Zhou radical is computed by independent characterizations that are
 cross-checked against each other; a disagreement raises CrossCheckMismatch
 because the whole artifact's value rests on their mutual verification.
 
-Subsets travel as int bitmasks.  Sums of right ideals need no fixpoint: for
-subgroups I, J the one-pass set {i + j} is already I + J, and |I + J| =
-|I| |J| / |I n J| turns "does I + J cover R" into popcount arithmetic.
+Subsets travel as int bitmasks.  Additive subgroups come from two kernels
+in `core`: `additive_span` (greedy generators and the subgroup they span;
+a sum of subgroups is the span of their union) and `coset_labels`
+(label[x] = the least element of x + I).  For a subgroup I and any set C,
+x lies in I + C iff label[x] is the label of some member of C, so one
+ideal's labels give its sums with every cyclic ideal at once.  For
+subgroups I, J, |I + J| = |I| |J| / |I n J| turns "does I + J cover R"
+into popcount arithmetic.
 """
 from __future__ import annotations
 
@@ -17,9 +22,9 @@ import numpy as np
 
 from .core import (
     LATTICE_CAP, QUANTIFIER_CAP, CrossCheckMismatch, ElementSet, FiniteRing,
-    LatticeCap, SocleNotTwoSided, _cached, array_from_mask, bool_from_mask,
-    element_set_from_mask, high_powers, idempotents_mask, mask_from_bool, mask_iter,
-    row_masks, units_mask)
+    LatticeCap, SocleNotTwoSided, _cached, additive_span, array_from_mask,
+    bool_from_mask, coset_labels, element_indices, element_set_from_mask,
+    high_powers, idempotents_mask, mask_from_bool, mask_iter, row_masks, units_mask)
 from .constructions import is_two_sided_mask, quotient_ring
 
 
@@ -36,35 +41,10 @@ def cyclic_masks(R: FiniteRing) -> tuple[int, ...]:
     return _cached(R, "cyc", compute)
 
 
-def _sum_pair(R: FiniteRing, I: int, J: int) -> int:
-    """I + J for additive subgroups given as masks."""
-    U = I | J
-    if U == I:
-        return I
-    if U == J:
-        return J
-    n = R.order
-    ia = array_from_mask(I, n)
-    ja = array_from_mask(J, n)
-    vals = R.np_add[np.ix_(ia, ja)]
-    b = np.zeros(n, dtype=bool)
-    b[vals.ravel()] = True
-    return mask_from_bool(b)
-
-
 def additive_span_mask(R: FiniteRing, m: int) -> int:
     """Smallest additive subgroup containing the masked set."""
-    n = R.order
-    cur = m | (1 << R.zero)
-    while True:
-        arr = array_from_mask(cur, n)
-        vals = R.np_add[np.ix_(arr, arr)]
-        b = np.zeros(n, dtype=bool)
-        b[vals.ravel()] = True
-        grown = mask_from_bool(b)
-        if grown == cur:
-            return cur
-        cur = grown
+    _, reached = additive_span(R.np_add, R.zero, array_from_mask(m, R.order))
+    return mask_from_bool(reached)
 
 
 def right_ideal_generated(R: FiniteRing, gens) -> ElementSet:
@@ -73,7 +53,7 @@ def right_ideal_generated(R: FiniteRing, gens) -> ElementSet:
         gens = gens.elems
     cyc = cyclic_masks(R)
     u = 1 << R.zero
-    for s in gens:
+    for s in element_indices(R, gens, "generator"):
         u |= cyc[s]
     return element_set_from_mask(R, additive_span_mask(R, u), "right-ideal", check=False)
 
@@ -116,25 +96,28 @@ def all_right_ideal_masks(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> tupl
     """Every right ideal, as the closure of {0} under adding cyclic ideals.
 
     Complete because a right ideal of a unital ring is the sum of the cyclic
-    ideals of its own elements; BFS over (ideal, cyclic) pairs therefore
-    reaches every right ideal, and the result is closed under pairwise sums.
+    ideals of its own elements.  Each ideal I found is summed with every
+    distinct nonzero cyclic ideal C in one scatter and one gather: x lies in
+    I + C iff the label of x + I (`core.coset_labels`) is the label of a
+    member of C.
     """
     def compute():
+        n = R.order
         zero_bit = 1 << R.zero
-        cyclics = sorted(set(cyclic_masks(R)) | {zero_bit})
-        ideals: set[int] = {zero_bit}
+        reps: dict[int, int] = {}              # one a per distinct nonzero aR
+        for a, m in enumerate(cyclic_masks(R)):
+            reps.setdefault(m, a)
+        del reps[zero_bit]
+        member = np.zeros((len(reps), n), dtype=bool)
+        member[np.arange(len(reps))[:, None], R.np_mul[list(reps.values())]] = True
+        rows, elems = np.nonzero(member)       # c = elems[i] lies in cyclic ideal rows[i]
+        ideals = {zero_bit}
         frontier = [zero_bit]
-        sum_cache: dict[int, int] = {}
         while frontier:
-            I = frontier.pop()
-            for C in cyclics:
-                U = I | C
-                if U == I:
-                    continue
-                S = sum_cache.get(U)
-                if S is None:
-                    S = _sum_pair(R, I, C)
-                    sum_cache[U] = S
+            label = coset_labels(R, frontier.pop())
+            hits = np.zeros_like(member)
+            hits[rows, label[elems]] = True
+            for S in row_masks(hits[:, label]):
                 if S not in ideals:
                     if len(ideals) >= lattice_cap:
                         raise LatticeCap(
@@ -184,11 +167,10 @@ def is_essential(R: FiniteRing, E: ElementSet) -> bool:
 
 def socle_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
     def compute():
-        lat = all_right_ideals(R, lattice_cap)
         m = 1 << R.zero
-        for s in lat.minimal:
-            m = _sum_pair(R, m, s)
-        return m
+        for s in all_right_ideals(R, lattice_cap).minimal:
+            m |= s
+        return additive_span_mask(R, m)
     return _cached(R, ("socle", lattice_cap), compute)
 
 
@@ -440,8 +422,8 @@ def r2_ideal_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
         m = 1 << R.zero
         for N in all_right_ideal_masks(R, lattice_cap):
             if is_delta_small_mask(R, N, lattice_cap):
-                m = _sum_pair(R, m, N)
-        return m
+                m |= N
+        return additive_span_mask(R, m)
     return _cached(R, ("r2", lattice_cap), compute)
 
 

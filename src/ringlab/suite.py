@@ -9,7 +9,6 @@ build-breaking results for the caller to surface.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
@@ -446,32 +445,25 @@ def run_theorem_suite(members: list[CorpusMember],
                       lattice_cap: int = LATTICE_CAP,
                       quantifier_cap: int = QUANTIFIER_CAP,
                       armendariz_cap: int = ARMENDARIZ_CAP) -> "SuiteReport":
+    """Run every case of CASES over the members.  `jobs` is accepted and
+    ignored: the suite runs in one thread, since the work is pure Python and
+    numpy under the interpreter lock and a thread pool only added overhead."""
     ctx = SuiteContext(members, lattice_cap, quantifier_cap, armendariz_cap)
-    ring_outcomes = _warm(ctx, jobs)
+    ring_outcomes = _warm(ctx)
     cases = [_run_case(ctx, case, ring_outcomes) for case in CASES]
-    # job count deliberately left out: reports must be identical across --jobs
     return SuiteReport(corpus_spec, members, cases,
                        {"lattice_cap": lattice_cap, "quantifier_cap": quantifier_cap,
                         "armendariz_cap": armendariz_cap})
 
 
-def _warm(ctx: SuiteContext, jobs: int) -> dict:
-    """Evaluate every ring-level case once per distinct table, one worker per
-    table; returns the outcomes keyed by (case id, digest)."""
+def _warm(ctx: SuiteContext) -> dict:
+    """Evaluate every ring-level case once per distinct table; returns the
+    outcomes keyed by (case id, digest)."""
     rings: dict[str, FiniteRing] = {}
     for m in ctx.members:
         rings.setdefault(m.ring.digest, m.ring)
     ring_cases = [c for c in CASES if not c.scope and c.run is None]
-
-    def work(R: FiniteRing) -> dict:
-        return {(c.id, R.digest): _evaluate(ctx, c, R) for c in ring_cases}
-
-    if jobs <= 1:
-        parts = [work(R) for R in rings.values()]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(work, rings.values()))
-    return {key: outcome for part in parts for key, outcome in part.items()}
+    return {(c.id, R.digest): _evaluate(ctx, c, R) for R in rings.values() for c in ring_cases}
 
 
 @dataclass

@@ -140,6 +140,15 @@ def test_hunt_malformed_implication_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("expr", ["Quot(Zn(4),gens=[-1])", "Quot(Zn(4),gens=[7])",
+                                  "Ks(Zn(3),s=-1)", "Corner(Zn(4),e=9)"])
+def test_out_of_range_element_parameter_exit_2(capsys, expr):
+    code, out, err = run_cli("radical", expr, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "is not an element of" in err
+    assert "bad arguments" not in err and "Traceback" not in err
+
+
 def test_enumerate_order_4(capsys):
     code, out, _ = run_cli("enumerate", "--order", "4", "--up-to-iso", capsys=capsys)
     assert code == 0

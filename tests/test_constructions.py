@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ringlab.core import (
-    NotCentralUnit, NotIdempotent, NotTwoSidedIdeal, ParseError, SizeCap,
-    idempotents, units, element_set)
+    DimensionMismatch, NotCentralUnit, NotIdempotent, NotTwoSidedIdeal, ParseError,
+    SizeCap, idempotents, units, element_set)
 from ringlab.constructions import (
     BimoduleSpec, construct, corner_ring, decode_digits, direct_product,
     encode_digits, enumerate_unital_rings, formal_triangular, hst_ring,
@@ -112,6 +112,33 @@ def test_corner_embedding_is_homomorphism(m2z3):
 def test_corner_requires_idempotent(zn):
     with pytest.raises(NotIdempotent):
         corner_ring(zn[4], 2)
+
+
+OUT_OF_RANGE_EXPRS = [
+    "Quot(Zn(4),gens=[-1])", "Quot(Zn(4),gens=[7])", "Quot(Zn(4),gens=[2,4])",
+    "Ks(Zn(3),s=-1)", "Ks(Zn(3),s=3)", "Hst(Zn(4),s=-1,t=1)", "Hst(Zn(4),s=1,t=4)",
+    "Lst(Zn(4),s=-3,t=1)", "Lst(Zn(4),s=1,t=-1)", "Corner(Zn(4),e=-1)", "Corner(Zn(4),e=4)",
+]
+
+
+@pytest.mark.parametrize("expr", OUT_OF_RANGE_EXPRS)
+def test_out_of_range_element_parameter_rejected(expr):
+    # numpy would read -1 as the last element and raise IndexError past it
+    with pytest.raises(DimensionMismatch, match="is not an element of"):
+        construct(expr)
+
+
+def test_out_of_range_element_arguments_rejected(zn):
+    Z3, Z4 = zn[3], zn[4]
+    for build in (lambda: two_sided_ideal_generated(Z4, [-1]),
+                  lambda: two_sided_ideal_generated(Z4, [1.0]),
+                  lambda: corner_ring(Z4, -3),
+                  lambda: ks_ring(Z3, -1),
+                  lambda: hst_ring(Z4, 1, -1),
+                  lambda: lst_ring(Z4, 4, 1)):
+        with pytest.raises(DimensionMismatch):
+            build()
+    assert two_sided_ideal_generated(Z4, [np.int32(2)]).elems == (0, 2)
 
 
 def test_quotient_by_zero_is_identity_tables(zn):

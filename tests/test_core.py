@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from ringlab import core
@@ -352,7 +353,7 @@ def test_additive_generators_generate(default_corpus):
     rings = [R for order in range(1, 9) for R in enumerate_unital_rings(order)]
     rings += list({m.ring.digest: m.ring for m in members}.values())
     for R in rings:
-        S = [int(g) for g in core._additive_generators(core._small_tables(R)[0], R.zero)]
+        S = core.additive_span(core._small_tables(R)[0], R.zero, np.arange(R.order))[0].tolist()
         assert 1 << len(S) <= R.order
         span, frontier = {R.zero}, [R.zero]
         while frontier:

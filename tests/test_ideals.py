@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from ringlab.core import LATTICE_CAP, LatticeCap, element_set, mask_elems, mask_of
+from ringlab.core import (
+    LATTICE_CAP, DimensionMismatch, LatticeCap, array_from_mask, bool_from_mask, element_set,
+    element_set_from_mask, mask_elems, mask_from_bool, mask_of)
 from ringlab.constructions import (
     construct, direct_product, enumerate_unital_rings, ks_ring, make_zn, matrix_ring,
-    upper_triangular_ring)
+    quotient_ring, upper_triangular_ring)
 from ringlab.ideals import (
-    all_right_ideal_masks, all_right_ideals, assert_radical_agreement, delta_sharp,
-    delta_sharp_mask, is_delta_small, is_direct_summand, is_essential, is_semiprime_ideal,
-    jacobson_radical, jacobson_radical_mask, r2_ideal_mask, r3_mask, r4_ideal_mask,
-    r5_membership, right_ideal_generated, socle, socle_mask, summand_masks, zhou_radical,
-    zhou_radical_mask)
+    _jacobson_by_units, all_right_ideal_masks, all_right_ideals, assert_radical_agreement,
+    delta_sharp, delta_sharp_mask, is_delta_small, is_direct_summand, is_essential,
+    is_semiprime_ideal, jacobson_radical, jacobson_radical_mask, r2_ideal_mask, r3_mask,
+    r4_ideal_mask, r5_membership, right_ideal_generated, socle, socle_mask, summand_masks,
+    zhou_radical, zhou_radical_mask)
 from ringlab.predicates import evaluate_predicate
 
 
@@ -19,6 +21,9 @@ def test_right_ideal_generated(zn):
     assert right_ideal_generated(Z4, [1]).elems == (0, 1, 2, 3)
     assert right_ideal_generated(Z4, [2]).elems == (0, 2)
     assert right_ideal_generated(Z4, []).elems == (0,)
+    for gens in ([-1], [4], [True]):
+        with pytest.raises(DimensionMismatch):
+            right_ideal_generated(Z4, gens)
 
 
 def test_all_right_ideals_z4(zn):
@@ -38,13 +43,17 @@ def test_all_right_ideals_z2xz2(zn):
     assert len(all_right_ideals(P).masks) == 4
 
 
+def set_sum(R, a, b):
+    """The set {i + j} for subsets given as masks (I + J for subgroups)."""
+    return mask_of({R.add[i][j] for i in mask_elems(a) for j in mask_elems(b)})
+
+
 def test_ideal_lattice_closed_under_sums(t2z2):
     lat = all_right_ideals(t2z2)
     masks = set(lat.masks)
-    from ringlab.ideals import _sum_pair
     for a in masks:
         for b in masks:
-            assert _sum_pair(t2z2, a, b) in masks
+            assert set_sum(t2z2, a, b) in masks
 
 
 def test_is_essential(zn):
@@ -179,7 +188,7 @@ def test_agreement_gates_quantified_routes(m2z3):
 
 def test_maximal_right_ideals_satisfy_definition(zn, t2z2):
     # M maximal iff for all a outside M, M + aR = R
-    from ringlab.ideals import cyclic_masks, _sum_pair
+    from ringlab.ideals import cyclic_masks
     for R in (zn[6], zn[8], t2z2):
         lat = all_right_ideals(R)
         full = R.full_mask()
@@ -187,7 +196,7 @@ def test_maximal_right_ideals_satisfy_definition(zn, t2z2):
         for m in lat.masks:
             if m == full:
                 continue
-            is_max = all(_sum_pair(R, m, cyc[a]) == full
+            is_max = all(set_sum(R, m, cyc[a]) == full
                          for a in R.elements() if not (m >> a) & 1)
             assert is_max == (m in lat.maximal)
 
@@ -239,3 +248,57 @@ def test_lattice_matches_brute_force_on_small_corpus_tables(default_corpus):
         # a maximal right ideal is either essential or a direct summand
         lat = all_right_ideals(R)
         assert set(lat.essential_maximal) == set(lat.maximal) - summand_masks(R), R.name
+
+
+def pairwise_lattice(R):
+    """Right ideals by a search over (ideal, cyclic ideal) pairs from {0},
+    each sum I + C formed as the |I| x |C| set {i + c}; a sum of subgroups
+    depends only on their union, which keys the cache of sums."""
+    n = R.order
+    zero_bit = 1 << R.zero
+    cyclics = sorted({mask_of(set(row)) for row in R.mul})
+    ideals, frontier, sums = {zero_bit}, [zero_bit], {}
+    while frontier:
+        I = frontier.pop()
+        for C in cyclics:
+            U = I | C
+            if U == I:
+                continue
+            if U not in sums:
+                vals = R.np_add[np.ix_(array_from_mask(I, n), array_from_mask(C, n))]
+                sums[U] = mask_from_bool(np.bincount(vals.ravel(), minlength=n) > 0)
+            if sums[U] not in ideals:
+                ideals.add(sums[U])
+                frontier.append(sums[U])
+    return ideals
+
+
+def test_lattice_matches_pairwise_search_on_every_corpus_table(default_corpus):
+    _, members = default_corpus
+    tables = {m.ring.digest: m.ring for m in members}
+    assert len(tables) == 78
+    for R in tables.values():
+        assert set(all_right_ideal_masks(R)) == pairwise_lattice(R), R.name
+
+
+def lattice_free_delta(R):
+    """delta(R) without the right-ideal lattice.  A finite ring is semilocal,
+    so Soc(R_R) = {x : x J(R) = 0} (Anderson-Fuller, section 15), and delta(R)
+    is the preimage of J(R / Soc(R_R)) (Zhou 2000); both J's come from the
+    unit characterization."""
+    J = array_from_mask(_jacobson_by_units(R), R.order)
+    soc = mask_from_bool((R.np_mul[:, J] == R.zero).all(axis=1))
+    q = quotient_ring(R, element_set_from_mask(R, soc, "two-sided-ideal"))
+    jq = bool_from_mask(_jacobson_by_units(q.ring), q.ring.order)
+    return mask_from_bool(jq[list(q.proj)])
+
+
+def test_delta_matches_lattice_free_route(default_corpus):
+    _, members = default_corpus
+    tables = {m.ring.digest: m.ring for m in members}
+    for order in range(1, 9):
+        for R in enumerate_unital_rings(order, up_to_iso=False):
+            tables.setdefault(R.digest, R)
+    assert len(tables) == 149
+    for R in tables.values():
+        assert zhou_radical_mask(R) == lattice_free_delta(R), R.name

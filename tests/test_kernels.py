@@ -1,7 +1,10 @@
 """Differential tests: the vectorized table kernels against the scalar loops
 they replaced, kept here as oracles.
 
-The oracles read the tuple views R.add / R.mul element by element.  They run
+Most oracles read the tuple views R.add / R.mul element by element; the
+additive-span oracles are the pairwise-sum fixpoints that `core.additive_span`
+replaced (greedy generators, `additive_span_mask`, the two-sided closure of
+`two_sided_ideal_generated`).  They run
 on every enumerated ring of order <= 8 and on every distinct default-corpus
 table of order <= 256; the tables of order > 64 (M2(Z3)'s corner, L(Z3),
 K0(Z4), M2(Z4), Morita(Z3,Z3)) have masks past bit 63, where a table entry
@@ -15,13 +18,15 @@ import pytest
 from ringlab import core
 from ringlab.constructions import (
     corner_ring, enumerate_unital_rings, is_right_ideal_mask, is_two_sided_mask,
-    quotient_ring)
+    quotient_ring, two_sided_ideal_generated)
 from ringlab.core import (
-    AxiomViolation, double_commutant_mask, element_set, element_set_from_mask,
-    idempotents_mask, mask_elems, mask_of, nilpotents_mask, units_mask)
+    AxiomViolation, array_from_mask, double_commutant_mask, element_set,
+    element_set_from_mask, idempotents_mask, mask_elems, mask_from_bool, mask_of,
+    nilpotents_mask, units_mask)
 from ringlab.ideals import (
-    _bound_mask, all_right_ideal_masks, cyclic_masks, delta_sharp_mask,
-    is_semiprime_ideal, jacobson_radical_mask, socle_mask, zhou_radical_mask)
+    _bound_mask, additive_span_mask, all_right_ideal_masks, cyclic_masks,
+    delta_sharp_mask, is_semiprime_ideal, jacobson_radical_mask, socle_mask,
+    zhou_radical_mask)
 from ringlab.predicates import idempotents_lift_mod_delta, is_delta_clean
 
 SMALL = 64   # above this order the per-mask and per-element oracles sample
@@ -161,6 +166,47 @@ def lift_witness(R, d, neg):
     return None
 
 
+def span_fixpoint_oracle(R, m):
+    """The additive span of the masked set as a fixpoint of pairwise sums."""
+    n = R.order
+    cur = m | (1 << R.zero)
+    while True:
+        arr = array_from_mask(cur, n)
+        hit = np.zeros(n, dtype=bool)
+        hit[R.np_add[np.ix_(arr, arr)].ravel()] = True
+        grown = mask_from_bool(hit)
+        if grown == cur:
+            return cur
+        cur = grown
+
+
+def greedy_span_oracle(R, candidates):
+    """Greedy generators of the span of `candidates` (ascending): each
+    candidate outside the span so far joins, and the span is closed again."""
+    gens, span = [], 1 << R.zero
+    for x in candidates:
+        if not (span >> x) & 1:
+            gens.append(x)
+            span = span_fixpoint_oracle(R, span | 1 << x)
+    return gens, span
+
+
+def two_sided_closure_oracle(R, gens):
+    """Smallest two-sided ideal containing gens, as a fixpoint of sums,
+    negatives and products by every element on either side."""
+    A, M = R.np_add, R.np_mul
+    cur = set(gens) | {R.zero}
+    while True:
+        arr = np.fromiter(sorted(cur), dtype=np.int64)
+        grown = set(np.unique(A[np.ix_(arr, arr)]).tolist())
+        grown |= set(np.unique(M[arr, :]).tolist())
+        grown |= set(np.unique(M[:, arr]).tolist())
+        grown |= {int(R.neg[x]) for x in cur}
+        if grown == cur:
+            return mask_of(cur)
+        cur = grown
+
+
 # ---------------------------------------------------------------------------
 # inputs
 
@@ -295,3 +341,22 @@ def test_decomposition_witnesses_match_scalar_scans(rings):
         d, neg = zhou_radical_mask(R), neg_oracle(R)
         assert is_delta_clean(R).witness == delta_clean_witness(R, d, neg), R.name
         assert idempotents_lift_mod_delta(R).witness == lift_witness(R, d, neg), R.name
+
+
+def test_span_kernels_match_fixpoint_oracles(rings):
+    rng = random.Random(13)
+    for R in rings:
+        subsets = [0, R.full_mask()] + sample(rng, cyclic_masks(R), 3)
+        subsets += [mask_of(x for x in R.elements() if rng.random() < p) for p in (0.02, 0.2)]
+        for m in subsets:
+            cand = np.array(mask_elems(m), dtype=np.intp)
+            gens, reached = core.additive_span(R.np_add, R.zero, cand)
+            assert (gens.tolist(), mask_from_bool(reached)) == greedy_span_oracle(R, cand.tolist())
+            assert additive_span_mask(R, m) == span_fixpoint_oracle(R, m), (R.name, m)
+        for m in sample(rng, all_right_ideal_masks(R), 2):
+            least = [min(R.add[x][i] for i in mask_elems(m)) for x in R.elements()]
+            assert core.coset_labels(R, m).tolist() == least, (R.name, m)
+        for gens in ([], [rng.randrange(R.order)], sample(rng, R.elements(), 2)):
+            got = two_sided_ideal_generated(R, gens)
+            assert got.mask == two_sided_closure_oracle(R, gens), (R.name, gens)
+            assert plain_ints(got.elems)

@@ -23,26 +23,23 @@ import numpy as np
 from .core import (
     SIZE_CAP, BimoduleAxiomViolation, ClosureViolation, DimensionMismatch,
     ElementSet, FiniteRing, NotCentral, NotCentralUnit, NotIdempotent,
-    NotTwoSidedIdeal, ParseError, SizeCap, additive_span, check_ring_axioms,
-    coset_labels, element_indices, element_set_from_mask, ideal_failure,
-    is_central, loads_ring, mask_from_bool, nilpotents_mask, idempotents_mask,
-    units_mask,
+    NotTwoSidedIdeal, ParseError, SizeCap, _cached, additive_span, bool_from_mask,
+    check_ring_axioms, coset_labels, element_indices, element_set_from_mask,
+    ideal_failure, is_central, loads_ring, mask_from_bool, nilpotents_mask,
+    idempotents_mask, units_mask,
 )
-
-_VALIDATED: set[str] = set()
 
 
 def _validated(name, zero, one, add, mul, labels=None, meta=None,
                size_cap: int = SIZE_CAP) -> FiniteRing:
-    """Axiom validation with a digest shortcut for tables already proven valid.
+    """Axiom validation, run once per table digest: the per-digest cache
+    remembers that a table was proven valid.
 
     add and mul may be integer arrays; FiniteRing stores them as int32."""
     if len(add) > size_cap:
         raise SizeCap(f"order {len(add)} exceeds size cap {size_cap}")
     R = FiniteRing(name, zero, one, add, mul, labels, meta)
-    if R.digest not in _VALIDATED:
-        check_ring_axioms(R)
-        _VALIDATED.add(R.digest)
+    _cached(R, "validated", lambda: check_ring_axioms(R))
     return R
 
 
@@ -611,25 +608,15 @@ def abelian_group_factorizations(order: int) -> list[tuple[int, ...]]:
     return sorted(groups, reverse=True)
 
 
-def _group_tables(dims: Sequence[int]):
-    n = math.prod(dims)
-    strides = mixed_radix_strides(dims)
-    add = [[0] * n for _ in range(n)]
-    for i in range(n):
-        di = decode_digits(i, dims)
-        for j in range(n):
-            dj = decode_digits(j, dims)
-            add[i][j] = sum(((a + b) % d) * s for a, b, d, s in zip(di, dj, dims, strides))
-    return add
-
-
-def _scalar_multiples(add, n: int, exponent: int):
-    # smul[c][x] = c.x in the additive group, for 0 <= c <= exponent
-    smul = [[0] * n]
-    for c in range(1, exponent + 1):
-        prev = smul[-1]
-        smul.append([add[prev[x]][x] for x in range(n)])
-    return smul
+def _additive_orders(A: np.ndarray, zero: int) -> np.ndarray:
+    """order[x] = the least c >= 1 with c.x = 0, for every x at once."""
+    idx = np.arange(len(A))
+    order = np.zeros(len(A), dtype=np.int64)
+    multiple, c = idx, 1
+    while not order.all():
+        order[(multiple == zero) & (order == 0)] = c
+        multiple, c = A[multiple, idx], c + 1
+    return order
 
 
 def enumerate_unital_rings(order: int, up_to_iso: bool = True):
@@ -638,10 +625,15 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = True):
     The multiplicative identity can be taken to be the standard generator of a
     largest cyclic factor (it must have maximal additive order, and any element
     of maximal order generates a direct summand, so an additive automorphism
-    moves it there).  Only the pairwise products of the remaining generators
-    are free; candidates are pruned by additive-order constraints, then by
-    associativity on generator triples (which, with bilinearity, decides
-    associativity everywhere), and survivors are validated in full.
+    moves it there).  Only the products g_i g_j of the remaining generators
+    are free, each an element whose additive order divides
+    gcd(dims[i], dims[j]).  A candidate multiplies by the bilinear form
+    digit_s(x y) = sum_ij x_i y_j digit_s(g_i g_j) mod dims[s].  All
+    candidates of a group are tested together for associativity on
+    generator triples (which, with bilinearity, decides it everywhere); the
+    survivors' tables are built from the form in one batch and validated in
+    full.  Up to isomorphism, a survivor is dropped when `ring_isomorphic`
+    maps it onto one kept earlier.
     """
     if order > 8:
         raise SizeCap(f"enumeration is capped at order 8, got {order}")
@@ -651,51 +643,33 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = True):
         yield _validated("R1_0", 0, 0, [[0]], [[0]], meta={"kind": "enumerated", "dims": [1]})
         return
     found: list[FiniteRing] = []
-    serial = 0
     for dims in abelian_group_factorizations(order):
-        n = math.prod(dims)
-        strides = mixed_radix_strides(dims)
-        add = _group_tables(dims)
-        exponent = dims[0]
-        smul = _scalar_multiples(add, n, exponent)
-        addorder = [next(c for c in range(1, exponent + 1) if smul[c][x] == 0)
-                    for x in range(n)]
-        gens = list(strides)  # unit digit vectors; gens[0] plays the identity
+        _, digs = _digit_grids(dims)
+        add = _encode_slots(((d[:, None] + d) % k for d, k in zip(digs, dims)), dims)
+        # element -> digit vector, in int16 (kept small: a batch holds 4096
+        # candidates); order <= 8 bounds each digit by 7 and each sum below by 9 * 7^3
+        digits = np.stack(digs, axis=1).astype(np.int16)
+        radix = np.array(dims, dtype=np.int16)
+        gens = np.array(mixed_radix_strides(dims))      # unit digit vectors; gens[0] is one
         m = len(gens)
-        one = gens[0]
-        digits = [decode_digits(x, dims) for x in range(n)]
-        free = [(i, j) for i in range(1, m) for j in range(1, m)]
-        cand = {}
-        for (i, j) in free:
-            g = math.gcd(dims[i], dims[j])
-            cand[(i, j)] = [x for x in range(n) if g % addorder[x] == 0]
-
-        def bilinear(prods, x, y):
-            dx, dy = digits[x], digits[y]
-            acc = 0
-            for i in range(m):
-                if dx[i] == 0:
-                    continue
-                row = prods[i]
-                for j in range(m):
-                    if dy[j] == 0:
-                        continue
-                    p = row[j]
-                    acc = add[acc][smul[(dx[i] * dy[j]) % addorder[p]][p]]
-            return acc
-
-        for values in itertools.product(*(cand[f] for f in free)):
-            assign = dict(zip(free, values))
-            prods = [[gens[j] if i == 0 else gens[i] if j == 0 else assign[(i, j)]
-                      for j in range(m)] for i in range(m)]
-            if any(bilinear(prods, prods[i][j], gens[k]) != bilinear(prods, gens[i], prods[j][k])
-                   for i in range(m) for j in range(m) for k in range(m)):
-                continue
-            mul = [[bilinear(prods, x, y) for y in range(n)] for x in range(n)]
-            ring = _validated(f"R{order}_{serial}", 0, one, add, mul,
-                              meta={"kind": "enumerated", "dims": list(dims)})
-            serial += 1
-            found.append(ring)
+        addorder = _additive_orders(add, 0)
+        free = [np.flatnonzero(math.gcd(dims[i], dims[j]) % addorder == 0)
+                for i in range(1, m) for j in range(1, m)]
+        values = np.array(list(itertools.product(*free)), dtype=np.intp)
+        C = len(values)
+        prods = np.empty((C, m, m), dtype=np.intp)    # prods[c, i, j] = g_i g_j
+        prods[:, 0], prods[:, :, 0] = gens, gens
+        prods[:, 1:, 1:] = values.reshape(C, m - 1, m - 1)
+        P = digits[prods]                              # P[c, i, j, s] = digit_s(g_i g_j)
+        # the bilinear form on generator triples, digit by digit
+        left = np.einsum("cija,caks->cijks", P, P) % radix    # (g_i g_j) g_k
+        right = np.einsum("cjkb,cibs->cijks", P, P) % radix   # g_i (g_j g_k)
+        P = P[(left == right).all(axis=(1, 2, 3, 4))]
+        # mul[c, x, y]: digit_s(x y) = sum_ij x_i y_j digit_s(g_i g_j) mod dims[s]
+        mul = (np.einsum("xi,yj,cijs->cxys", digits, digits, P, optimize=True) % radix) @ gens
+        found += [_validated(f"R{order}_{len(found) + t}", 0, gens[0], add, table,
+                             meta={"kind": "enumerated", "dims": list(dims)})
+                  for t, table in enumerate(mul)]
     if not up_to_iso:
         yield from found
         return
@@ -710,21 +684,27 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = True):
 # ---------------------------------------------------------------------------
 # exact ring isomorphism (desk scale)
 
-def _element_invariant(R: FiniteRing, addorder, x: int):
-    um, im, nm = units_mask(R), idempotents_mask(R), nilpotents_mask(R)
-    z, mul = R.zero, R.mul
-    rann = mul[x].count(z)
-    lann = sum(row[x] == z for row in mul)
-    return (addorder[x], (um >> x) & 1, (im >> x) & 1, (nm >> x) & 1, rann, lann)
+def _invariant_rows(R: FiniteRing) -> np.ndarray:
+    """Row x: the additive order of x; whether x is a unit, an idempotent,
+    a nilpotent; |r(x)| and |l(x)|.  An isomorphism maps each element to
+    one with the same row."""
+    is_zero = R.np_mul == R.zero
+    return np.column_stack(
+        [_additive_orders(R.np_add, R.zero)]
+        + [bool_from_mask(f(R), R.order) for f in (units_mask, idempotents_mask, nilpotents_mask)]
+        + [is_zero.sum(axis=1), is_zero.sum(axis=0)])
 
 
 def ring_fingerprint(R: FiniteRing):
-    exponent = R.order
-    smul = _scalar_multiples(R.add, R.order, exponent)
-    addorder = [next(c for c in range(1, exponent + 1) if smul[c][x] == R.zero)
-                for x in R.elements()]
-    profile = sorted(_element_invariant(R, addorder, x) for x in R.elements())
-    return (R.order, addorder[R.one], tuple(profile)), addorder
+    """(fingerprint, invariant rows) of R, computed once per table and
+    cached with it.  The fingerprint (order, additive order of one, the
+    sorted rows) is equal on isomorphic rings; `ring_isomorphic` seeds its
+    search with the rows."""
+    def compute():
+        rows = _invariant_rows(R)
+        rows.setflags(write=False)      # shared by every ring with this table
+        return (R.order, int(rows[R.one, 0]), tuple(sorted(map(tuple, rows.tolist())))), rows
+    return _cached(R, "fingerprint", compute)
 
 
 def ring_isomorphic(R: FiniteRing, S: FiniteRing) -> Optional[tuple[int, ...]]:
@@ -735,16 +715,17 @@ def ring_isomorphic(R: FiniteRing, S: FiniteRing) -> Optional[tuple[int, ...]]:
     """
     if R.order != S.order:
         return None
-    fpR, ordR = ring_fingerprint(R)
-    fpS, ordS = ring_fingerprint(S)
+    fpR, rowsR = ring_fingerprint(R)
+    fpS, rowsS = ring_fingerprint(S)
     if fpR != fpS:
         return None
     n = R.order
     r_add, r_mul, s_add, s_mul = R.add, R.mul, S.add, S.mul   # locals for the scalar loops
-    invR = {x: _element_invariant(R, ordR, x) for x in range(n)}
+    invR = list(map(tuple, rowsR.tolist()))
+    ordR = rowsR[:, 0].tolist()
     invS_pool: dict = {}
-    for y in range(n):
-        invS_pool.setdefault(_element_invariant(S, ordS, y), []).append(y)
+    for y, row in enumerate(map(tuple, rowsS.tolist())):
+        invS_pool.setdefault(row, []).append(y)
 
     gens = additive_span(R.np_add, R.zero, np.arange(n))[0].tolist()
 

@@ -665,6 +665,7 @@ def units(R: FiniteRing) -> ElementSet:
 
 
 def unit_inverse(R: FiniteRing, u: int) -> int:
+    [u] = element_indices(R, [u], "element")
     M = R.np_mul
     inverses = np.flatnonzero((M[u] == R.one) & (M[:, u] == R.one))
     if inverses.size == 0:
@@ -711,12 +712,14 @@ def nilpotents(R: FiniteRing) -> ElementSet:
 
 def left_annihilator(R: FiniteRing, a: int) -> ElementSet:
     """l_R(a) = {x : x a = 0}, returned as a plain subset (it is a left ideal)."""
+    [a] = element_indices(R, [a], "element")
     return element_set_from_mask(R, mask_from_bool(R.np_mul[:, a] == R.zero), "subset",
                                  check=False)
 
 
 def right_annihilator(R: FiniteRing, a: int) -> ElementSet:
     """r_R(a) = {x : a x = 0}."""
+    [a] = element_indices(R, [a], "element")
     return element_set_from_mask(R, mask_from_bool(R.np_mul[a] == R.zero), "subset",
                                  check=False)
 
@@ -728,6 +731,7 @@ def _commute_masks(R: FiniteRing) -> tuple[int, ...]:
 
 
 def commutant_mask(R: FiniteRing, a: int) -> int:
+    [a] = element_indices(R, [a], "element")
     return _commute_masks(R)[a]
 
 
@@ -738,6 +742,7 @@ def commutant(R: FiniteRing, a: int) -> ElementSet:
 
 def double_commutant_mask(R: FiniteRing, a: int) -> int:
     # x is in comm^2(a) iff x commutes with every member of comm(a)
+    [a] = element_indices(R, [a], "element")
     comm = _commute_masks(R)
     m = R.full_mask()
     for y in mask_iter(comm[a]):
@@ -750,5 +755,6 @@ def double_commutant(R: FiniteRing, a: int) -> ElementSet:
 
 
 def is_central(R: FiniteRing, a: int) -> bool:
+    [a] = element_indices(R, [a], "element")
     M = R.np_mul
     return bool(np.array_equal(M[:, a], M[a, :]))

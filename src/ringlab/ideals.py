@@ -65,27 +65,14 @@ def right_ideal_generated(R: FiniteRing, gens) -> ElementSet:
 class IdealLattice:
     """All right ideals of a ring, with the maximal/minimal/essential sublists.
 
-    Masks are the working representation; the ElementSet views are sorted
-    lexicographically by their element lists, as are all mask tuples here.
+    Each tuple holds bitmasks, sorted lexicographically by their element
+    lists, as are all mask tuples here.
     """
     ring: FiniteRing
     masks: tuple[int, ...]
     maximal: tuple[int, ...]
     minimal: tuple[int, ...]
     essential_maximal: tuple[int, ...]
-
-    @property
-    def right_ideals(self) -> list[ElementSet]:
-        return [element_set_from_mask(self.ring, m, "right-ideal", check=False)
-                for m in self.masks]
-
-    def maximal_sets(self) -> list[ElementSet]:
-        return [element_set_from_mask(self.ring, m, "right-ideal", check=False)
-                for m in self.maximal]
-
-    def minimal_sets(self) -> list[ElementSet]:
-        return [element_set_from_mask(self.ring, m, "right-ideal", check=False)
-                for m in self.minimal]
 
 
 def _lex_sorted(masks) -> tuple[int, ...]:

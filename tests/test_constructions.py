@@ -1,15 +1,19 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from ringlab import constructions, core
 from ringlab.core import (
-    DimensionMismatch, NotCentralUnit, NotIdempotent, NotTwoSidedIdeal, ParseError,
-    SizeCap, idempotents, units, element_set)
+    DimensionMismatch, FiniteRing, NotCentralUnit, NotIdempotent, NotTwoSidedIdeal,
+    ParseError, SizeCap, clear_shared_cache, idempotents, units, element_set)
 from ringlab.constructions import (
-    BimoduleSpec, construct, corner_ring, decode_digits, direct_product,
-    encode_digits, enumerate_unital_rings, formal_triangular, hst_ring,
-    ks_ring, lst_ring, make_zn, matrix_ring, parse_ring_expr, quotient_ring,
-    ring_isomorphic, self_bimodule, trivial_morita, two_sided_ideal_generated,
-    upper_triangular_ring)
+    BimoduleSpec, abelian_group_factorizations, construct, corner_ring, decode_digits,
+    direct_product, encode_digits, enumerate_unital_rings, formal_triangular, hst_ring,
+    ks_ring, lst_ring, make_zn, matrix_ring, mixed_radix_strides, parse_ring_expr,
+    quotient_ring, ring_fingerprint, ring_isomorphic, self_bimodule, trivial_morita,
+    two_sided_ideal_generated, upper_triangular_ring)
 
 
 def test_make_zn_edge_cases():
@@ -363,6 +367,143 @@ def test_ring_isomorphic_negative(zn):
     rings = list(enumerate_unital_rings(4, up_to_iso=True))
     others = [R for R in rings if ring_isomorphic(R, zn[4]) is None]
     assert len(others) == 3
+
+
+def test_enumeration_errors_are_raised_on_iteration():
+    for order, error in ((9, SizeCap), (0, DimensionMismatch)):
+        rings = enumerate_unital_rings(order)
+        with pytest.raises(error):
+            next(rings)
+
+
+# ---------------------------------------------------------------------------
+# the scalar enumeration, kept as the oracle of the batched bilinear build
+
+def _group_tables(dims):
+    n = math.prod(dims)
+    strides = mixed_radix_strides(dims)
+    add = [[0] * n for _ in range(n)]
+    for i in range(n):
+        di = decode_digits(i, dims)
+        for j in range(n):
+            dj = decode_digits(j, dims)
+            add[i][j] = sum(((a + b) % d) * s for a, b, d, s in zip(di, dj, dims, strides))
+    return add
+
+
+def _scalar_multiples(add, n, exponent):
+    # smul[c][x] = c.x in the additive group, for 0 <= c <= exponent
+    smul = [[0] * n]
+    for c in range(1, exponent + 1):
+        prev = smul[-1]
+        smul.append([add[prev[x]][x] for x in range(n)])
+    return smul
+
+
+def _scalar_enumeration(order):
+    """(name, zero, one, add, mul) of every candidate that passes the
+    generator-triple test, built one bilinear product at a time."""
+    if order == 1:
+        return [("R1_0", 0, 0, [[0]], [[0]])]
+    out = []
+    for dims in abelian_group_factorizations(order):
+        n = math.prod(dims)
+        add = _group_tables(dims)
+        exponent = dims[0]
+        smul = _scalar_multiples(add, n, exponent)
+        addorder = [next(c for c in range(1, exponent + 1) if smul[c][x] == 0)
+                    for x in range(n)]
+        gens = mixed_radix_strides(dims)
+        m = len(gens)
+        digits = [decode_digits(x, dims) for x in range(n)]
+        free = [(i, j) for i in range(1, m) for j in range(1, m)]
+        cand = {(i, j): [x for x in range(n) if math.gcd(dims[i], dims[j]) % addorder[x] == 0]
+                for (i, j) in free}
+
+        def bilinear(prods, x, y):
+            acc = 0
+            for i in range(m):
+                for j in range(m):
+                    if digits[x][i] and digits[y][j]:
+                        p = prods[i][j]
+                        acc = add[acc][smul[(digits[x][i] * digits[y][j]) % addorder[p]][p]]
+            return acc
+
+        for values in itertools.product(*(cand[f] for f in free)):
+            assign = dict(zip(free, values))
+            prods = [[gens[j] if i == 0 else gens[i] if j == 0 else assign[(i, j)]
+                      for j in range(m)] for i in range(m)]
+            if any(bilinear(prods, prods[i][j], gens[k]) != bilinear(prods, gens[i], prods[j][k])
+                   for i in range(m) for j in range(m) for k in range(m)):
+                continue
+            mul = [[bilinear(prods, x, y) for y in range(n)] for x in range(n)]
+            out.append((f"R{order}_{len(out)}", 0, gens[0], add, mul))
+    return out
+
+
+def _brute_isomorphic(R, S):
+    """Whether some bijection with 0 -> 0 and 1 -> 1 carries both tables of
+    R onto those of S, by trying all of them."""
+    rest = [x for x in R.elements() if x not in (R.zero, R.one)]
+    images = [y for y in S.elements() if y not in (S.zero, S.one)]
+    phi = np.empty((math.factorial(len(rest)), R.order), dtype=np.intp)
+    phi[:, R.zero], phi[:, R.one] = S.zero, S.one
+    phi[:, rest] = list(itertools.permutations(images))
+    rows, cols = phi[:, :, None], phi[:, None, :]
+    return bool(((phi[:, R.np_add] == S.np_add[rows, cols])
+                 & (phi[:, R.np_mul] == S.np_mul[rows, cols])).all(axis=(1, 2)).any())
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_enumeration_matches_scalar_oracle(order):
+    want = _scalar_enumeration(order)
+    got = list(enumerate_unital_rings(order, up_to_iso=False))
+    assert [(R.name, R.zero, R.one, R.np_add.tolist(), R.np_mul.tolist()) for R in got] == want
+    kept = []
+    for R in got:
+        if not any(_brute_isomorphic(R, S) for S in kept):
+            kept.append(R)
+    assert [R.name for R in enumerate_unital_rings(order)] == [R.name for R in kept]
+
+
+def test_relabelled_order8_rings_match_their_originals():
+    rng = np.random.default_rng(8)
+    for R in enumerate_unital_rings(8, up_to_iso=False):
+        p = rng.permutation(R.order)             # element x of R is p[x] of S
+        add, mul = np.empty_like(R.np_add), np.empty_like(R.np_mul)
+        add[p[:, None], p] = p[R.np_add]
+        mul[p[:, None], p] = p[R.np_mul]
+        S = FiniteRing(R.name + "'", int(p[R.zero]), int(p[R.one]), add, mul)
+        assert ring_fingerprint(S)[0] == ring_fingerprint(R)[0], R.name
+        phi = np.array(ring_isomorphic(R, S))
+        assert sorted(phi) == list(R.elements()) and phi[R.one] == S.one, R.name
+        assert np.array_equal(phi[R.np_add], S.np_add[phi[:, None], phi]), R.name
+        assert np.array_equal(phi[R.np_mul], S.np_mul[phi[:, None], phi]), R.name
+
+
+def test_enumeration_fingerprints_each_table_once(monkeypatch):
+    monkeypatch.setattr(core, "_SHARED_CACHE", {})
+    computed = []
+    rows_of = constructions._invariant_rows
+    monkeypatch.setattr(constructions, "_invariant_rows",
+                        lambda R: computed.append(R.digest) or rows_of(R))
+    list(enumerate_unital_rings(8))
+    tables = {R.digest for R in enumerate_unital_rings(8, up_to_iso=False)}
+    assert sorted(computed) == sorted(tables)
+
+
+def test_validation_runs_once_per_digest_until_cache_cleared(monkeypatch):
+    monkeypatch.setattr(core, "_SHARED_CACHE", {})
+    checked = []
+    check = constructions.check_ring_axioms
+    monkeypatch.setattr(constructions, "check_ring_axioms",
+                        lambda R: checked.append(R.name) or check(R))
+    make_zn(6)
+    make_zn(6)
+    assert checked == ["Z6"]
+    clear_shared_cache()
+    make_zn(6)
+    assert checked == ["Z6", "Z6"]
 
 
 def test_parser_whitespace_insensitive():

@@ -141,6 +141,16 @@ def test_double_commutant_contains_element_and_inside_commutant(m2z2, zn):
             assert (dc >> R.zero) & 1 and (dc >> R.one) & 1
 
 
+@pytest.mark.parametrize("element_fn", [
+    unit_inverse, left_annihilator, right_annihilator, commutant, core.commutant_mask,
+    double_commutant, core.double_commutant_mask, core.is_central])
+def test_element_functions_reject_out_of_range_indices(zn, element_fn):
+    # a negative index would silently wrap around in a numpy table
+    for bad in (-1, zn[4].order):
+        with pytest.raises(DimensionMismatch):
+            element_fn(zn[4], bad)
+
+
 def test_nilpotents(zn):
     assert nilpotents(zn[4]).elems == (0, 2)
     assert nilpotents(zn[6]).elems == (0,)

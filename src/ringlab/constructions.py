@@ -219,8 +219,7 @@ class CornerRing:
 def _subtables(R: FiniteRing, elems: np.ndarray, index: np.ndarray):
     """R's tables restricted to the rows and columns `elems`, with every
     entry renamed by `index` (parent element -> new element)."""
-    grid = np.ix_(elems, elems)
-    return index[R.np_add[grid]], index[R.np_mul[grid]]
+    return index[_pair(R.np_add, elems, elems)], index[_pair(R.np_mul, elems, elems)]
 
 
 def corner_ring(R: FiniteRing, e: int, size_cap: int = SIZE_CAP) -> CornerRing:

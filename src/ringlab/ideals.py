@@ -12,6 +12,11 @@ x lies in I + C iff label[x] is the label of some member of C, so one
 ideal's labels give its sums with every cyclic ideal at once.  For
 subgroups I, J, |I + J| = |I| |J| / |I n J| turns "does I + J cover R"
 into popcount arithmetic.
+
+The kernels gather rows of the tables, not columns: labels read the rows
+i in I of the addition table, which equal its columns because validation
+has proved + commutative; the lattice reads its per-cyclic-ideal hits as
+C-ordered rows before packing them into masks.
 """
 from __future__ import annotations
 
@@ -104,7 +109,7 @@ def all_right_ideal_masks(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> tupl
             label = coset_labels(R, frontier.pop())
             hits = np.zeros_like(member)
             hits[rows, label[elems]] = True
-            for S in row_masks(hits[:, label]):
+            for S in row_masks(hits.take(label, axis=1)):
                 if S not in ideals:
                     if len(ideals) >= lattice_cap:
                         raise LatticeCap(

@@ -87,16 +87,11 @@ def is_delta_reversible(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> P
     sq_bad = (squares == R.zero) & ~in_d[np.arange(R.order)]
     by_square = not bool(sq_bad.any())
 
-    by_ann = True
-    for a in R.elements():
-        lann = np.flatnonzero(M[:, a] == R.zero)
-        if not bool(in_d[M[a, lann]].all()):      # a . l_R(a) inside delta
-            by_ann = False
-            break
-        rann = np.flatnonzero(M[a] == R.zero)
-        if not bool(in_d[M[rann, a]].all()):      # r_R(a) . a inside delta
-            by_ann = False
-            break
+    # a l_R(a) and r_R(a) a inside delta for every a, over whole tables:
+    # row a of Z.T is l_R(a) and row a of Z is r_R(a); in_dM[x, y] is xy in delta
+    Z = M == R.zero
+    in_dM = in_d[M]
+    by_ann = not (Z.T & ~in_dM).any() and not (Z & ~in_dM.T).any()
 
     if not (by_def.verdict == by_square == by_ann):
         raise CharacterizationMismatch(

@@ -238,14 +238,15 @@ def _ideal_products(ctx, R):
     """T9, one instance per two-sided ideal I."""
     in_d = bool_from_mask(ctx.delta(R), R.order)
     M = R.np_mul
+    MT = np.ascontiguousarray(M.T)      # row a of MT is the column R a
     checked = 0
     for I in all_right_ideal_masks(R, ctx.lattice_cap):
         arr = array_from_mask(I, R.order)
         in_I = bool_from_mask(I, R.order)
-        if not in_I[M[:, arr]].all():
+        if not in_I[MT[arr]].all():
             continue                    # not a left ideal
         checked += 1
-        sub = M[np.ix_(arr, arr)]
+        sub = M[arr].take(arr, axis=1)
         bad = (sub == R.zero) & ~(in_d[sub.T] & in_I[sub.T])
         if bad.any():
             i, j = np.argwhere(bad)[0]

@@ -6,7 +6,7 @@ import pytest
 
 from ringlab.cli import main
 
-from test_core import NON_INTEGER_ENTRIES, with_entry
+from test_core import BAD_LABELS, NON_INTEGER_ENTRIES, Z2_JSON, with_entry
 
 
 def run_cli(*argv, capsys=None):
@@ -57,6 +57,15 @@ def test_non_integer_ring_json_exit_2(tmp_path, capsys, field, row, col, value):
     assert code == 2
     assert err.startswith("error:") and "bad arguments" not in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("labels", BAD_LABELS)
+def test_bad_labels_ring_json_exit_2(tmp_path, capsys, labels):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(Z2_JSON, labels=labels)))
+    code, out, err = run_cli("construct", f'File("{path}")', capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_radical_delta_z4(capsys):

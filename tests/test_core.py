@@ -210,6 +210,23 @@ def test_non_integer_entries_rejected(field, row, col, value):
         loads_ring(json.dumps(with_entry(field, row, col, value)))
 
 
+# labels that are not a list of n strings: a string and an object would be
+# iterated into labels and re-dump as a list, changing the bytes
+BAD_LABELS = ["ab", {"x": 1, "y": 2}, [1, 2], [None, "a"], None, ["a"], ["a", "b", "c"]]
+
+
+@pytest.mark.parametrize("labels", BAD_LABELS)
+def test_labels_must_be_n_strings(labels):
+    with pytest.raises(DimensionMismatch):
+        loads_ring(json.dumps(dict(Z2_JSON, labels=labels)))
+
+
+def test_string_labels_round_trip():
+    text = dumps_ring(loads_ring(json.dumps(dict(Z2_JSON, labels=["z\"0\\", "\u00e9\u00e9n"]))))
+    assert json.loads(text)["labels"] == ["z\"0\\", "\u00e9\u00e9n"]
+    assert dumps_ring(loads_ring(text)) == text
+
+
 def test_integer_arrays_accepted_and_float_arrays_rejected():
     import numpy as np
     add, mul = zn_tables(4)

@@ -4,30 +4,37 @@ they replaced, kept here as oracles.
 Most oracles read the tuple views R.add / R.mul element by element; the
 additive-span oracles are the pairwise-sum fixpoints that `core.additive_span`
 replaced (greedy generators, `additive_span_mask`, the two-sided closure of
-`two_sided_ideal_generated`).  They run
+`two_sided_ideal_generated`); the row-major annihilator route of
+delta-reversibility and T9 are checked against the per-element and
+column-gather loops they replaced, fed random subsets in place of delta(R),
+and `dumps_ring` against the indenting JSON encoder.  They run
 on every enumerated ring of order <= 8 and on every distinct default-corpus
 table of order <= 256; the tables of order > 64 (M2(Z3)'s corner, L(Z3),
 K0(Z4), M2(Z4), Morita(Z3,Z3)) have masks past bit 63, where a table entry
 left as a numpy scalar in a shift would give a wrong mask or raise.
 """
+import json
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ringlab import core
+from ringlab import core, predicates
 from ringlab.constructions import (
     corner_ring, enumerate_unital_rings, is_right_ideal_mask, is_two_sided_mask,
     quotient_ring, two_sided_ideal_generated)
 from ringlab.core import (
-    AxiomViolation, array_from_mask, double_commutant_mask, element_set,
-    element_set_from_mask, idempotents_mask, mask_elems, mask_from_bool, mask_of,
-    nilpotents_mask, units_mask)
+    LATTICE_CAP, AxiomViolation, CharacterizationMismatch, array_from_mask,
+    bool_from_mask, double_commutant_mask, element_set, element_set_from_mask,
+    idempotents_mask, mask_elems, mask_from_bool, mask_of, nilpotents_mask, units_mask)
 from ringlab.ideals import (
     _bound_mask, additive_span_mask, all_right_ideal_masks, cyclic_masks,
     delta_sharp_mask, is_semiprime_ideal, jacobson_radical_mask, socle_mask,
     zhou_radical_mask)
-from ringlab.predicates import idempotents_lift_mod_delta, is_delta_clean
+from ringlab.predicates import (
+    idempotents_lift_mod_delta, is_delta_clean, is_delta_reversible)
+from ringlab.suite import Failure, _ideal_products
 
 SMALL = 64   # above this order the per-mask and per-element oracles sample
 
@@ -207,6 +214,38 @@ def two_sided_closure_oracle(R, gens):
         cur = grown
 
 
+def annihilator_route_oracle(R, in_d):
+    """a l(a) and r(a) a inside the set, element by element."""
+    M = R.np_mul
+    for a in R.elements():
+        lann = np.flatnonzero(M[:, a] == R.zero)
+        if not bool(in_d[M[a, lann]].all()):
+            return False
+        rann = np.flatnonzero(M[a] == R.zero)
+        if not bool(in_d[M[rann, a]].all()):
+            return False
+    return True
+
+
+def ideal_products_oracle(R, d):
+    """T9 over column gathers and np.ix_ blocks."""
+    in_d = bool_from_mask(d, R.order)
+    M = R.np_mul
+    checked = 0
+    for I in all_right_ideal_masks(R):
+        arr = array_from_mask(I, R.order)
+        in_I = bool_from_mask(I, R.order)
+        if not in_I[M[:, arr]].all():
+            continue
+        checked += 1
+        sub = M[np.ix_(arr, arr)]
+        bad = (sub == R.zero) & ~(in_d[sub.T] & in_I[sub.T])
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            return checked, Failure("product escapes I intersect delta", (arr[i], arr[j]))
+    return checked, None
+
+
 # ---------------------------------------------------------------------------
 # inputs
 
@@ -227,6 +266,17 @@ def candidate_masks(R, rng):
             out.add(m & ~(1 << rng.choice(removable)))
     for _ in range(4):
         sub = mask_of(x for x in R.elements() if rng.random() < 0.5)
+        out |= {sub | 1 << R.zero, sub & ~(1 << R.zero)}
+    return sorted(out)
+
+
+def radical_stand_ins(R, rng):
+    """delta(R), delta(R) plus random elements, and random subsets with and
+    without zero: sets on which each route can pass or fail."""
+    d = zhou_radical_mask(R)
+    out = {d, d | mask_of(x for x in R.elements() if rng.random() < 0.5)}
+    for p in (0.3, 0.9, 0.99):
+        sub = mask_of(x for x in R.elements() if rng.random() < p)
         out |= {sub | 1 << R.zero, sub & ~(1 << R.zero)}
     return sorted(out)
 
@@ -360,3 +410,58 @@ def test_span_kernels_match_fixpoint_oracles(rings):
             got = two_sided_ideal_generated(R, gens)
             assert got.mask == two_sided_closure_oracle(R, gens), (R.name, gens)
             assert plain_ints(got.elems)
+
+
+def test_row_masks_pack_any_layout(rings):
+    for R in rings:
+        zero_divisors = R.np_mul == R.zero
+        for arr in (zero_divisors, zero_divisors.T, np.asfortranarray(R.np_add == R.one),
+                    zero_divisors[::2, 1::3], R.np_mul % 3):
+            got = core.row_masks(arr)
+            assert plain_ints(got)
+            assert got == tuple(mask_from_bool(row) for row in arr), R.name
+
+
+def test_delta_reversible_annihilator_route_matches_loop(rings, monkeypatch):
+    rng = random.Random(17)
+    seen = set()
+    for R in rings:
+        M = R.np_mul
+        for d in radical_stand_ins(R, rng):
+            in_d = bool_from_mask(d, R.order)
+            bad = np.argwhere((M == R.zero) & ~in_d[M.T])
+            witness = tuple(int(v) for v in bad[0]) if len(bad) else None
+            squares_ok = bool(in_d[M.diagonal() == R.zero].all())
+            routes = (witness is None, squares_ok, annihilator_route_oracle(R, in_d))
+            seen.add(routes)
+            monkeypatch.setattr(predicates, "zhou_radical_mask", lambda *_, d=d: d)
+            if len(set(routes)) == 1:
+                res = is_delta_reversible(R)
+                assert (res.verdict, res.witness) == (routes[0], witness), (R.name, d)
+                continue
+            with pytest.raises(CharacterizationMismatch) as exc:
+                is_delta_reversible(R)
+            assert str(exc.value).endswith("definition={} square-zero={} annihilator={}"
+                                           .format(*routes)), (R.name, d)
+    assert {(True, True, True), (False, False, False)} < seen
+
+
+def test_ideal_products_match_column_loop(rings):
+    rng = random.Random(23)
+    seen = set()
+    for R in rings:
+        for d in radical_stand_ins(R, rng):
+            ctx = SimpleNamespace(delta=lambda _, d=d: d, lattice_cap=LATTICE_CAP)
+            got = _ideal_products(ctx, R)
+            assert got == ideal_products_oracle(R, d), (R.name, d)
+            seen.add(got[1] is None)
+    assert seen == {True, False}
+
+
+def test_dumps_ring_matches_indenting_encoder(rings):
+    odd = core.validate_ring('Z2 "q\\ \u00f1', 0, 1, [[0, 1], [1, 0]], [[0, 0], [0, 1]],
+                             labels=['"0\\', "\u00fcn\u00efcode"])
+    assert any(R.order == 1 for R in rings) and any(R.labels is None for R in rings)
+    for R in rings + [odd]:
+        assert core.dumps_ring(R) == json.dumps(core.ring_to_json_dict(R), indent=1) + "\n"
+    assert core.loads_ring(core.dumps_ring(odd)).labels == odd.labels

@@ -14,7 +14,7 @@ import sys
 from .core import (
     ARMENDARIZ_CAP, LATTICE_CAP, QUANTIFIER_CAP, SIZE_CAP, TOOL_VERSION,
     CrossCheckMismatch, CharacterizationMismatch, ParseError, RinglabError,
-    SizeCap, UnknownPredicate, dumps_ring, mask_elems)
+    SizeCap, UnknownPredicate, dumps_ring, mask_elems, ring_to_json_dict)
 from .constructions import construct, enumerate_unital_rings
 from .ideals import (
     delta_sharp_mask, jacobson_radical_mask, radical_characterizations,
@@ -153,10 +153,8 @@ def cmd_hunt(args) -> int:
 
 def cmd_enumerate(args) -> int:
     try:
-        rings = enumerate_unital_rings(args.order, up_to_iso=args.up_to_iso)
-        lines = []
-        for ring in rings:
-            lines.append(json.dumps(json.loads(dumps_ring(ring))))
+        lines = [json.dumps(ring_to_json_dict(ring))
+                 for ring in enumerate_unital_rings(args.order, up_to_iso=args.up_to_iso)]
         _write("\n".join(lines) + "\n", args.out)
     except SizeCap as exc:
         print(str(exc), file=sys.stderr)

@@ -2,8 +2,9 @@
 
 Composite elements are encoded mixed-radix over component indices, most
 significant digit first, so encodings are stable across runs and documented
-by the labels.  Tables are built with vectorized gathers; every constructor
-ends in exact axiom validation.
+by the labels.  Every extension ring is built by one slot builder,
+`_slot_ring`, from vectorized gathers; every constructor ends in exact axiom
+validation.
 
 Extensions record their base rings in `meta["bases"]`.  Those whose radical
 has a claimed digit-wise shape also record `dims`, `delta_digits` (digit s
@@ -66,15 +67,14 @@ def decode_digits(idx: int, dims: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _digit_grids(dims: Sequence[int]) -> tuple[int, list[np.ndarray]]:
-    """Per-slot digit vectors for all N mixed-radix indices."""
-    N = math.prod(dims)
-    rem = np.arange(N, dtype=np.int64)
+def _digit_grids(dims: Sequence[int]) -> list[np.ndarray]:
+    """Per-slot digit vectors for all mixed-radix indices."""
+    rem = np.arange(math.prod(dims), dtype=np.int64)
     digs = []
     for s in mixed_radix_strides(dims):
         digs.append(rem // s)
         rem = rem % s
-    return N, digs
+    return digs
 
 
 def _pair(table: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -101,9 +101,25 @@ def _sum_of_products(A: np.ndarray, M: np.ndarray, pairs) -> np.ndarray:
     return acc
 
 
-def _check_size(order: int, size_cap: int, what: str) -> None:
+def _slot_ring(name, slots, mul_slots, one, label, meta, size_cap) -> FiniteRing:
+    """The ring on mixed-radix tuples of slots, most significant first.
+
+    `slots` holds one (additive table, zero) pair per slot, and addition is
+    slot-wise.  `mul_slots(*digits)`, given the digit vector of every slot
+    over all elements, returns (or yields) the product's slot tables.  `one`
+    is the identity's digit tuple and `label(*digits)` names one element.
+    The size cap is checked before any table is allocated; `dims` joins meta.
+    """
+    dims = [len(A) for A, _ in slots]
+    order = math.prod(dims)
     if order > size_cap:
-        raise SizeCap(f"{what} would have order {order} > size cap {size_cap}")
+        raise SizeCap(f"{name} would have order {order} > size cap {size_cap}")
+    digs = _digit_grids(dims)
+    add = _encode_slots((_pair(A, d, d) for (A, _), d in zip(slots, digs)), dims)
+    mul = _encode_slots(mul_slots(*digs), dims)
+    labels = [label(*d) for d in itertools.product(*map(range, dims))]
+    return _validated(name, encode_digits([z for _, z in slots], dims), encode_digits(one, dims),
+                      add, mul, labels, {**meta, "dims": dims}, size_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -127,21 +143,13 @@ def direct_product(parts: Sequence[FiniteRing], size_cap: int = SIZE_CAP) -> Fin
         raise DimensionMismatch("need at least one factor")
     if len(parts) == 1:
         return parts[0]
-    dims = [R.order for R in parts]
-    order = math.prod(dims)
-    _check_size(order, size_cap, "direct product")
-    N, digs = _digit_grids(dims)
-    add = _encode_slots((_pair(R.np_add, d, d) for R, d in zip(parts, digs)), dims)
-    mul = _encode_slots((_pair(R.np_mul, d, d) for R, d in zip(parts, digs)), dims)
-    zero = encode_digits([R.zero for R in parts], dims)
-    one = encode_digits([R.one for R in parts], dims)
-    labels = ["(" + ",".join(R.label(d) for R, d in zip(parts, combo)) + ")"
-              for combo in (decode_digits(i, dims) for i in range(order))]
-    name = "x".join(R.name for R in parts)
-    return _validated(name, zero, one, add, mul, labels,
-                      meta={"kind": "product", "bases": tuple(parts), "dims": dims,
-                            "delta_digits": tuple(range(len(parts))), "delta_relation": "eq"},
-                      size_cap=size_cap)
+    return _slot_ring(
+        "x".join(R.name for R in parts), [(R.np_add, R.zero) for R in parts],
+        lambda *digs: (_pair(R.np_mul, d, d) for R, d in zip(parts, digs)),
+        [R.one for R in parts],
+        lambda *ds: "(" + ",".join(R.label(d) for R, d in zip(parts, ds)) + ")",
+        {"kind": "product", "bases": tuple(parts),
+         "delta_digits": tuple(range(len(parts))), "delta_relation": "eq"}, size_cap)
 
 
 def _matrix_label(entries, base: FiniteRing, n: int) -> str:
@@ -157,23 +165,16 @@ def matrix_ring(n: int, R: FiniteRing, size_cap: int = SIZE_CAP) -> FiniteRing:
         raise DimensionMismatch("n must be >= 1")
     if n == 1:
         return R
-    k = R.order
-    order = k ** (n * n)
-    _check_size(order, size_cap, f"M{n}({R.name})")
-    dims = [k] * (n * n)
-    N, digs = _digit_grids(dims)
     A, M = R.np_add, R.np_mul
-    add = _encode_slots((_pair(A, d, d) for d in digs), dims)
-    mul = _encode_slots((_sum_of_products(A, M, ((digs[i * n + t], digs[t * n + j])
-                                                 for t in range(n)))
-                         for i in range(n) for j in range(n)), dims)
-    zero = encode_digits([R.zero] * (n * n), dims)
-    one = encode_digits([R.one if i == j else R.zero for i in range(n) for j in range(n)], dims)
-    labels = [_matrix_label(decode_digits(p, dims), R, n) for p in range(order)]
-    return _validated(f"M{n}({R.name})", zero, one, add, mul, labels,
-                      meta={"kind": "matrix", "n": n, "bases": (R,), "dims": dims,
-                            "delta_digits": (0,) * (n * n), "delta_relation": "eq"},
-                      size_cap=size_cap)
+    return _slot_ring(
+        f"M{n}({R.name})", [(A, R.zero)] * (n * n),
+        lambda *digs: (_sum_of_products(A, M, ((digs[i * n + t], digs[t * n + j])
+                                               for t in range(n)))
+                       for i in range(n) for j in range(n)),
+        [R.one if i == j else R.zero for i in range(n) for j in range(n)],
+        lambda *entries: _matrix_label(entries, R, n),
+        {"kind": "matrix", "n": n, "bases": (R,),
+         "delta_digits": (0,) * (n * n), "delta_relation": "eq"}, size_cap)
 
 
 def upper_triangular_ring(n: int, R: FiniteRing, size_cap: int = SIZE_CAP) -> FiniteRing:
@@ -182,32 +183,23 @@ def upper_triangular_ring(n: int, R: FiniteRing, size_cap: int = SIZE_CAP) -> Fi
         raise DimensionMismatch("n must be >= 1")
     if n == 1:
         return R
-    k = R.order
     positions = [(i, j) for i in range(n) for j in range(n) if i <= j]
-    order = k ** len(positions)
-    _check_size(order, size_cap, f"T{n}({R.name})")
-    dims = [k] * len(positions)
     slot = {pos: s for s, pos in enumerate(positions)}
-    N, digs = _digit_grids(dims)
     A, M = R.np_add, R.np_mul
-    add = _encode_slots((_pair(A, d, d) for d in digs), dims)
-    mul = _encode_slots((_sum_of_products(A, M, ((digs[slot[(i, t)]], digs[slot[(t, j)]])
-                                                 for t in range(i, j + 1)))
-                         for (i, j) in positions), dims)
-    zero = encode_digits([R.zero] * len(positions), dims)
-    one = encode_digits([R.one if i == j else R.zero for (i, j) in positions], dims)
 
-    def tri_label(p):
-        d = decode_digits(p, dims)
-        full = [[R.label(d[slot[(i, j)]]) if i <= j else R.label(R.zero)
-                 for j in range(n)] for i in range(n)]
-        return "[" + ",".join("[" + ",".join(row) + "]" for row in full) + "]"
+    def tri_label(*d):
+        return _matrix_label([d[slot[(i, j)]] if i <= j else R.zero
+                              for i in range(n) for j in range(n)], R, n)
 
-    labels = [tri_label(p) for p in range(order)]
-    return _validated(f"T{n}({R.name})", zero, one, add, mul, labels,
-                      meta={"kind": "triangular", "n": n, "bases": (R,), "dims": dims,
-                            "delta_digits": tuple(0 if i == j else None for i, j in positions),
-                            "delta_relation": "subset"}, size_cap=size_cap)
+    return _slot_ring(
+        f"T{n}({R.name})", [(A, R.zero)] * len(positions),
+        lambda *digs: (_sum_of_products(A, M, ((digs[slot[(i, t)]], digs[slot[(t, j)]])
+                                               for t in range(i, j + 1)))
+                       for (i, j) in positions),
+        [R.one if i == j else R.zero for (i, j) in positions], tri_label,
+        {"kind": "triangular", "n": n, "bases": (R,),
+         "delta_digits": tuple(0 if i == j else None for i, j in positions),
+         "delta_relation": "subset"}, size_cap)
 
 
 @dataclass(frozen=True)
@@ -307,42 +299,31 @@ def hst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteR
     """
     _require_central_unit(R, s, "s")
     _require_central_unit(R, t, "t")
-    k = R.order
-    order = k ** 3
-    _check_size(order, size_cap, f"H(s={s},t={t})({R.name})")
-    dims = [k] * 3
-    N, (c, d, e) = _digit_grids(dims)
     A, M = R.np_add, R.np_mul
     NEG = np.asarray(R.neg)
-    a_of = A[d, M[s][c]]              # a = d + s c
-    f_of = A[d, NEG[M[t][e]]]         # f = d - t e
 
-    a3 = _pair(M, a_of, a_of)
-    c3 = A[_pair(M, c, a_of), _pair(M, d, c)]
-    d3 = _pair(M, d, d)
-    e3 = A[_pair(M, d, e), _pair(M, e, f_of)]
-    f3 = _pair(M, f_of, f_of)
-    # closure guard: products must satisfy the defining linear constraints
-    if not np.array_equal(a3, A[d3, M[s][c3]]) or not np.array_equal(f3, A[d3, NEG[M[t][e3]]]):
-        raise ClosureViolation(f"H(s,t) product left the family for {R.name}")
+    def h_mul(c, d, e):
+        a_of = A[d, M[s][c]]              # a = d + s c
+        f_of = A[d, NEG[M[t][e]]]         # f = d - t e
+        c3 = A[_pair(M, c, a_of), _pair(M, d, c)]
+        d3 = _pair(M, d, d)
+        e3 = A[_pair(M, d, e), _pair(M, e, f_of)]
+        # closure guard: products must satisfy the defining linear constraints
+        if (not np.array_equal(_pair(M, a_of, a_of), A[d3, M[s][c3]])
+                or not np.array_equal(_pair(M, f_of, f_of), A[d3, NEG[M[t][e3]]])):
+            raise ClosureViolation(f"H(s,t) product left the family for {R.name}")
+        return [c3, d3, e3]
 
-    add = _encode_slots([_pair(A, c, c), _pair(A, d, d), _pair(A, e, e)], dims)
-    mul = _encode_slots([c3, d3, e3], dims)
-    zero = encode_digits([R.zero] * 3, dims)
-    one = encode_digits([R.zero, R.one, R.zero], dims)
-
-    def h_label(p):
-        ci, di, ei = decode_digits(p, dims)
+    def h_label(ci, di, ei):
         ai = R.add[di][R.mul[s][ci]]
         fi = R.sub(di, R.mul[t][ei])
         z = R.label(R.zero)
         return (f"[[{R.label(ai)},{z},{z}],[{R.label(ci)},{R.label(di)},{R.label(ei)}],"
                 f"[{z},{z},{R.label(fi)}]]")
 
-    labels = [h_label(p) for p in range(order)]
-    return _validated(f"H({s},{t})({R.name})", zero, one, add, mul, labels,
-                      meta={"kind": "hst", "s": s, "t": t, "bases": (R,)},
-                      size_cap=size_cap)
+    return _slot_ring(f"H({s},{t})({R.name})", [(A, R.zero)] * 3, h_mul,
+                      [R.zero, R.one, R.zero], h_label,
+                      {"kind": "hst", "s": s, "t": t, "bases": (R,)}, size_cap)
 
 
 def lst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteRing:
@@ -354,35 +335,26 @@ def lst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteR
     """
     _require_central_unit(R, s, "s")
     _require_central_unit(R, t, "t")
-    k = R.order
-    order = k ** 5
-    _check_size(order, size_cap, f"L(s={s},t={t})({R.name})")
-    dims = [k] * 5
-    N, (a, c, d, e, f) = _digit_grids(dims)
     A, M = R.np_add, R.np_mul
-    a3 = _pair(M, a, a)
-    c3 = A[_pair(M, c, a), _pair(M, d, c)]     # s cancels: central unit
-    d3 = _pair(M, d, d)
-    e3 = A[_pair(M, d, e), _pair(M, e, f)]     # t cancels likewise
-    f3 = _pair(M, f, f)
-    add = _encode_slots((_pair(A, x, x) for x in (a, c, d, e, f)), dims)
-    mul = _encode_slots([a3, c3, d3, e3, f3], dims)
-    zero = encode_digits([R.zero] * 5, dims)
-    one = encode_digits([R.one, R.zero, R.one, R.zero, R.one], dims)
 
-    def l_label(p):
-        ai, ci, di, ei, fi = decode_digits(p, dims)
+    def l_mul(a, c, d, e, f):
+        yield _pair(M, a, a)
+        yield A[_pair(M, c, a), _pair(M, d, c)]     # s cancels: central unit
+        yield _pair(M, d, d)
+        yield A[_pair(M, d, e), _pair(M, e, f)]     # t cancels likewise
+        yield _pair(M, f, f)
+
+    def l_label(ai, ci, di, ei, fi):
         z = R.label(R.zero)
         sc = R.label(R.mul[s][ci])
         te = R.label(R.mul[t][ei])
         return (f"[[{R.label(ai)},{z},{z}],[{sc},{R.label(di)},{te}],"
                 f"[{z},{z},{R.label(fi)}]]")
 
-    labels = [l_label(p) for p in range(order)]
-    return _validated(f"L({s},{t})({R.name})", zero, one, add, mul, labels,
-                      meta={"kind": "lst", "s": s, "t": t, "bases": (R,), "dims": dims,
-                            "delta_digits": (0, None, 0, None, 0), "delta_relation": "eq"},
-                      size_cap=size_cap)
+    return _slot_ring(f"L({s},{t})({R.name})", [(A, R.zero)] * 5, l_mul,
+                      [R.one, R.zero, R.one, R.zero, R.one], l_label,
+                      {"kind": "lst", "s": s, "t": t, "bases": (R,),
+                       "delta_digits": (0, None, 0, None, 0), "delta_relation": "eq"}, size_cap)
 
 
 def ks_ring(R: FiniteRing, s: int, size_cap: int = SIZE_CAP) -> FiniteRing:
@@ -390,30 +362,21 @@ def ks_ring(R: FiniteRing, s: int, size_cap: int = SIZE_CAP) -> FiniteRing:
     element_indices(R, [s], "s")
     if not is_central(R, s):
         raise NotCentral(f"s={s} is not central in {R.name}")
-    k = R.order
-    order = k ** 4
-    _check_size(order, size_cap, f"K{s}({R.name})")
-    dims = [k] * 4
-    N, (a, x, y, b) = _digit_grids(dims)
     A, M = R.np_add, R.np_mul
-    a3 = A[_pair(M, a, a), M[s][_pair(M, x, y)]]
-    x3 = A[_pair(M, a, x), _pair(M, x, b)]
-    y3 = A[_pair(M, y, a), _pair(M, b, y)]
-    b3 = A[M[s][_pair(M, y, x)], _pair(M, b, b)]
-    add = _encode_slots((_pair(A, v, v) for v in (a, x, y, b)), dims)
-    mul = _encode_slots([a3, x3, y3, b3], dims)
-    zero = encode_digits([R.zero] * 4, dims)
-    one = encode_digits([R.one, R.zero, R.zero, R.one], dims)
-    labels = []
-    for p in range(order):
-        ai, xi, yi, bi = decode_digits(p, dims)
-        labels.append(f"[[{R.label(ai)},{R.label(xi)}],[{R.label(yi)},{R.label(bi)}]]")
-    meta = {"kind": "ks", "s": s, "bases": (R,), "dims": dims}
+
+    def k_mul(a, x, y, b):
+        yield A[_pair(M, a, a), M[s][_pair(M, x, y)]]
+        yield A[_pair(M, a, x), _pair(M, x, b)]
+        yield A[_pair(M, y, a), _pair(M, b, y)]
+        yield A[M[s][_pair(M, y, x)], _pair(M, b, b)]
+
+    meta = {"kind": "ks", "s": s, "bases": (R,)}
     if s == R.zero:
         meta.update(delta_digits=(0, None, None, 0), delta_relation="eq")
     sname = "0" if s == R.zero else str(s)
-    return _validated(f"K{sname}({R.name})", zero, one, add, mul, labels, meta,
-                      size_cap=size_cap)
+    return _slot_ring(f"K{sname}({R.name})", [(A, R.zero)] * 4, k_mul,
+                      [R.one, R.zero, R.zero, R.one],
+                      lambda a, x, y, b: _matrix_label((a, x, y, b), R, 2), meta, size_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -493,29 +456,19 @@ def formal_triangular(S: FiniteRing, T: FiniteRing,
                 "default self-action bimodule needs identical component rings")
         M = self_bimodule(S)
     validate_bimodule(S, T, M)
-    dims = [S.order, M.size, T.order]
-    order = math.prod(dims)
-    _check_size(order, size_cap, "formal triangular ring")
-    N, (s, m, t) = _digit_grids(dims)
-    G = np.asarray(M.add, dtype=np.int64)
-    L = np.asarray(M.left, dtype=np.int64)
-    Rt = np.asarray(M.right, dtype=np.int64)
-    s3 = _pair(S.np_mul, s, s)
-    m3 = G[L[s[:, None], m[None, :]], Rt[m[:, None], t[None, :]]]
-    t3 = _pair(T.np_mul, t, t)
-    add = _encode_slots([_pair(S.np_add, s, s), _pair(G, m, m), _pair(T.np_add, t, t)],
-                        dims)
-    mul = _encode_slots([s3, m3, t3], dims)
-    zero = encode_digits([S.zero, M.zero, T.zero], dims)
-    one = encode_digits([S.one, M.zero, T.one], dims)
-    labels = []
-    for p in range(order):
-        si, mi, ti = decode_digits(p, dims)
-        labels.append(f"[[{S.label(si)},m{mi}],[0,{T.label(ti)}]]")
-    return _validated(f"Tri({S.name},{T.name})", zero, one, add, mul, labels,
-                      meta={"kind": "formal_triangular", "bases": (S, T), "dims": dims,
-                            "delta_digits": (0, None, 1), "delta_relation": "subset"},
-                      size_cap=size_cap)
+    G, L, Rt = (np.asarray(x, dtype=np.int64) for x in (M.add, M.left, M.right))
+
+    def tri_mul(s, m, t):
+        yield _pair(S.np_mul, s, s)
+        yield G[L[s[:, None], m[None, :]], Rt[m[:, None], t[None, :]]]
+        yield _pair(T.np_mul, t, t)
+
+    return _slot_ring(f"Tri({S.name},{T.name})",
+                      [(S.np_add, S.zero), (G, M.zero), (T.np_add, T.zero)], tri_mul,
+                      [S.one, M.zero, T.one],
+                      lambda si, mi, ti: f"[[{S.label(si)},m{mi}],[0,{T.label(ti)}]]",
+                      {"kind": "formal_triangular", "bases": (S, T),
+                       "delta_digits": (0, None, 1), "delta_relation": "subset"}, size_cap)
 
 
 def trivial_morita(A: FiniteRing, B: FiniteRing,
@@ -531,33 +484,21 @@ def trivial_morita(A: FiniteRing, B: FiniteRing,
         N = N or self_bimodule(B)
     validate_bimodule(A, B, M)
     validate_bimodule(B, A, N)
-    dims = [A.order, M.size, N.size, B.order]
-    order = math.prod(dims)
-    _check_size(order, size_cap, "trivial Morita context")
-    _, (a, m, n, b) = _digit_grids(dims)
-    GM = np.asarray(M.add, dtype=np.int64)
-    LM = np.asarray(M.left, dtype=np.int64)
-    RM = np.asarray(M.right, dtype=np.int64)
-    GN = np.asarray(N.add, dtype=np.int64)
-    LN = np.asarray(N.left, dtype=np.int64)
-    RN = np.asarray(N.right, dtype=np.int64)
-    a3 = _pair(A.np_mul, a, a)                                   # MN = 0
-    m3 = GM[LM[a[:, None], m[None, :]], RM[m[:, None], b[None, :]]]
-    n3 = GN[RN[n[:, None], a[None, :]], LN[b[:, None], n[None, :]]]
-    b3 = _pair(B.np_mul, b, b)                                   # NM = 0
-    add = _encode_slots([_pair(A.np_add, a, a), _pair(GM, m, m),
-                         _pair(GN, n, n), _pair(B.np_add, b, b)], dims)
-    mul = _encode_slots([a3, m3, n3, b3], dims)
-    zero = encode_digits([A.zero, M.zero, N.zero, B.zero], dims)
-    one = encode_digits([A.one, M.zero, N.zero, B.one], dims)
-    labels = []
-    for p in range(order):
-        ai, mi, ni, bi = decode_digits(p, dims)
-        labels.append(f"[[{A.label(ai)},m{mi}],[n{ni},{B.label(bi)}]]")
-    return _validated(f"Morita({A.name},{B.name})", zero, one, add, mul, labels,
-                      meta={"kind": "trivial_morita", "bases": (A, B), "dims": dims,
-                            "delta_digits": (0, None, None, 1), "delta_relation": "subset"},
-                      size_cap=size_cap)
+    GM, LM, RM = (np.asarray(x, dtype=np.int64) for x in (M.add, M.left, M.right))
+    GN, LN, RN = (np.asarray(x, dtype=np.int64) for x in (N.add, N.left, N.right))
+
+    def morita_mul(a, m, n, b):
+        yield _pair(A.np_mul, a, a)                                  # MN = 0
+        yield GM[LM[a[:, None], m[None, :]], RM[m[:, None], b[None, :]]]
+        yield GN[RN[n[:, None], a[None, :]], LN[b[:, None], n[None, :]]]
+        yield _pair(B.np_mul, b, b)                                  # NM = 0
+
+    return _slot_ring(f"Morita({A.name},{B.name})",
+                      [(A.np_add, A.zero), (GM, M.zero), (GN, N.zero), (B.np_add, B.zero)],
+                      morita_mul, [A.one, M.zero, N.zero, B.one],
+                      lambda ai, mi, ni, bi: f"[[{A.label(ai)},m{mi}],[n{ni},{B.label(bi)}]]",
+                      {"kind": "trivial_morita", "bases": (A, B),
+                       "delta_digits": (0, None, None, 1), "delta_relation": "subset"}, size_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +584,7 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = True):
         return
     found: list[FiniteRing] = []
     for dims in abelian_group_factorizations(order):
-        _, digs = _digit_grids(dims)
+        digs = _digit_grids(dims)
         add = _encode_slots(((d[:, None] + d) % k for d, k in zip(digs, dims)), dims)
         # element -> digit vector, in int16 (kept small: a batch holds 4096
         # candidates); order <= 8 bounds each digit by 7 and each sum below by 9 * 7^3

@@ -650,6 +650,8 @@ def ring_from_json_dict(d: dict, size_cap: int = SIZE_CAP) -> FiniteRing:
     for key in ("name", "order", "zero", "one", "add", "mul"):
         if key not in d:
             raise DimensionMismatch(f"ring JSON missing key {key!r}")
+    if not isinstance(d["name"], str):
+        raise DimensionMismatch("ring JSON name must be a string")
     if not isinstance(d["add"], list) or not isinstance(d["mul"], list):
         raise DimensionMismatch("ring JSON add and mul must be lists of rows")
     if not _is_int(d["order"]) or d["order"] != len(d["add"]):

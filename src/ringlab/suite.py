@@ -142,7 +142,7 @@ def _shape_mask(member: CorpusMember, ctx: SuiteContext) -> Optional[tuple[int, 
     if meta.get("kind") == "hst":
         # free digits (c, d, e); the entries a = d + sc, d and f = d - te lie in delta
         B, s, t = meta["bases"][0], meta["s"], meta["t"]
-        c, d, e = np.unravel_index(np.arange(R.order), (B.order,) * 3)
+        c, d, e = np.unravel_index(np.arange(R.order), meta["dims"])
         A, M, neg = B.np_add, B.np_mul, np.asarray(B.neg)
         in_d = bool_from_mask(ctx.delta(B), B.order)
         return mask_from_bool(in_d[A[d, M[s][c]]] & in_d[d] & in_d[A[d, neg[M[t][e]]]]), "eq"
@@ -442,13 +442,12 @@ CASES: tuple[Case, ...] = (
 
 def run_theorem_suite(members: list[CorpusMember],
                       corpus_spec: str = "default",
-                      jobs: int = 1,
                       lattice_cap: int = LATTICE_CAP,
                       quantifier_cap: int = QUANTIFIER_CAP,
                       armendariz_cap: int = ARMENDARIZ_CAP) -> "SuiteReport":
-    """Run every case of CASES over the members.  `jobs` is accepted and
-    ignored: the suite runs in one thread, since the work is pure Python and
-    numpy under the interpreter lock and a thread pool only added overhead."""
+    """Run every case of CASES over the members, in one thread: the work is
+    pure Python and numpy under the interpreter lock, so a pool of threads
+    only adds overhead."""
     ctx = SuiteContext(members, lattice_cap, quantifier_cap, armendariz_cap)
     ring_outcomes = _warm(ctx)
     cases = [_run_case(ctx, case, ring_outcomes) for case in CASES]

@@ -52,4 +52,4 @@ def default_corpus():
 @pytest.fixture(scope="session")
 def suite_report(default_corpus):
     spec, members = default_corpus
-    return run_theorem_suite(members, spec, jobs=1)
+    return run_theorem_suite(members, spec)

@@ -6,7 +6,7 @@ import pytest
 
 from ringlab.cli import main
 
-from test_core import BAD_LABELS, NON_INTEGER_ENTRIES, Z2_JSON, with_entry
+from test_core import BAD_LABELS, BAD_NAMES, NON_INTEGER_ENTRIES, Z2_JSON, with_entry
 
 
 def run_cli(*argv, capsys=None):
@@ -66,6 +66,15 @@ def test_bad_labels_ring_json_exit_2(tmp_path, capsys, labels):
     code, out, err = run_cli("construct", f'File("{path}")', capsys=capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
+def test_non_string_ring_name_exit_2(tmp_path, capsys, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(Z2_JSON, name=name)))
+    code, out, err = run_cli("radical", f'File("{path}")', capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "name must be a string" in err
 
 
 def test_radical_delta_z4(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from ringlab import constructions, core
 from ringlab.core import (
     DimensionMismatch, FiniteRing, NotCentralUnit, NotIdempotent, NotTwoSidedIdeal,
-    ParseError, SizeCap, clear_shared_cache, idempotents, units, element_set)
+    ParseError, SizeCap, clear_shared_cache, dumps_ring, idempotents, units, element_set)
 from ringlab.constructions import (
     BimoduleSpec, abelian_group_factorizations, construct, corner_ring, decode_digits,
     direct_product, encode_digits, enumerate_unital_rings, formal_triangular, hst_ring,
@@ -324,6 +325,36 @@ def test_trivial_morita_with_zero_bimodules_is_product(zn):
     TM = trivial_morita(zn[2], zn[2], zero_mod, zero_mod)
     P = direct_product([zn[2], zn[2]])
     assert ring_isomorphic(TM, P) is not None
+
+
+def _zero_bimodule_morita():
+    Z2, Z3 = make_zn(2), make_zn(3)
+    M = BimoduleSpec(((0,),), 0, ((0,),) * 2, ((0,) * 3,))
+    N = BimoduleSpec(((0,),), 0, ((0,),) * 3, ((0,) * 2,))
+    return trivial_morita(Z2, Z3, M, N)
+
+
+# sha256 of dumps_ring for one small ring of each extension family: locks the
+# element order, both tables and the labels
+FAMILY_DUMPS = [
+    ("Prod(Zn(2),Zn(3),Zn(2))", "14975b40d94e3b79662cf00250487ade0f98512a4abdba2096f705ac3c75db7d"),
+    ("M(2,Zn(2))", "8de78ab0c8f4c91376294ea85e2bd8113c05e9ef24ca01d30918a80ba6589fa9"),
+    ("T(3,Zn(2))", "992fda33b54a0e7e0b474ffbd883a71c2d98617b664b413a188aa5e08dd17627"),
+    ("Hst(Zn(3),s=1,t=2)", "c145f76287c1f97267b986053f7c55debf39dce2ee9e9e0beefaebd427ae78cd"),
+    ("Lst(Zn(3),s=2,t=1)", "21f4833fb5b08a48e4b149589eb01d86f68890d9862279ebee1c85fa675b3928"),
+    ("Ks(Zn(3),s=2)", "70974c8a5249cfa3adec37dd315710d256d083215545ffd6d9f55430175fddfd"),
+    ("K0(Zn(2))", "2de5ca48e0d6fb6c4537cde663e6d8247bdff603b4b6e95d3bd979cb67bdb317"),
+    ("Tri(Zn(2),Zn(2))", "0dfca65cbcfa2ff471b2e930ac06c572e6612cd98178c43b4880f48ea46f596e"),
+    ("Morita(Zn(2),Zn(2))", "10621bb0efd0e8114f61f674b062ecf9de4479e0ea5dc1da4c130d381d8a6748"),
+    ("zero-bimodule Morita(Z2,Z3)",
+     "ec03ed8f1e82202854b14d4e0e11d2f238b1e430a86f0f75014b35d64fc4d954"),
+]
+
+
+@pytest.mark.parametrize("what,digest", FAMILY_DUMPS, ids=[w for w, _ in FAMILY_DUMPS])
+def test_family_dump_bytes_locked(what, digest):
+    R = _zero_bimodule_morita() if what.startswith("zero-bimodule") else construct(what)
+    assert hashlib.sha256(dumps_ring(R).encode()).hexdigest() == digest
 
 
 def test_self_bimodule_validates(zn):

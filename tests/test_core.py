@@ -221,6 +221,16 @@ def test_labels_must_be_n_strings(labels):
         loads_ring(json.dumps(dict(Z2_JSON, labels=labels)))
 
 
+# names that are not a string: each would reach the report as a JSON value
+BAD_NAMES = [[1, {"a": 2}], 2, None, {"n": "Z2"}, True]
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
+def test_name_must_be_a_string(name):
+    with pytest.raises(DimensionMismatch, match="name must be a string"):
+        loads_ring(json.dumps(dict(Z2_JSON, name=name)))
+
+
 def test_string_labels_round_trip():
     text = dumps_ring(loads_ring(json.dumps(dict(Z2_JSON, labels=["z\"0\\", "\u00e9\u00e9n"]))))
     assert json.loads(text)["labels"] == ["z\"0\\", "\u00e9\u00e9n"]

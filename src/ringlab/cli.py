@@ -7,14 +7,15 @@ failure or counterexample found, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from .core import (
     ARMENDARIZ_CAP, LATTICE_CAP, QUANTIFIER_CAP, SIZE_CAP, TOOL_VERSION,
-    CrossCheckMismatch, CharacterizationMismatch, ParseError, RinglabError,
-    SizeCap, UnknownPredicate, dumps_ring, mask_elems, ring_to_json_dict)
+    CrossCheckMismatch, CharacterizationMismatch, RinglabError, SizeCap,
+    dumps_ring, mask_elems, ring_to_json_dict)
 from .constructions import construct, enumerate_unital_rings
 from .ideals import (
     delta_sharp_mask, jacobson_radical_mask, radical_characterizations,
@@ -110,8 +111,13 @@ def cmd_check(args) -> int:
     return 0 if all(r["verdict"] for r in d["results"].values()) else 1
 
 
+def _corpus(args) -> str:
+    # read at run time, not when the (cached) parser is built
+    return os.environ.get("RINGLAB_CORPUS", "default") if args.corpus is None else args.corpus
+
+
 def cmd_suite(args) -> int:
-    spec, members = build_corpus(args.corpus, size_cap=args.size_cap)
+    spec, members = build_corpus(_corpus(args), size_cap=args.size_cap)
     if args.verbose:
         print(f"corpus {spec}: {len(members)} members", file=sys.stderr)
     report = run_theorem_suite(members, spec,
@@ -140,7 +146,7 @@ def cmd_hunt(args) -> int:
         if n not in PREDICATES:
             print(f"unknown predicate {n!r}", file=sys.stderr)
             return 2
-    spec, members = build_corpus(args.corpus, size_cap=args.size_cap)
+    spec, members = build_corpus(_corpus(args), size_cap=args.size_cap)
     findings = hunt_counterexample(HuntQuery(antecedent, consequent,
                                              stop_at_first=not args.all),
                                    members, args.lattice_cap, args.armendariz_cap)
@@ -162,7 +168,9 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     p = argparse.ArgumentParser(prog="ringlab",
                                 description="finite-ring radical and reversibility calculator")
     p.add_argument("--version", action="version", version=f"ringlab {TOOL_VERSION}")
@@ -200,8 +208,9 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("suite", help="run the theorem suite over a corpus")
     common(sp, ring_arg=False)
-    sp.add_argument("--corpus", default=os.environ.get("RINGLAB_CORPUS", "default"),
-                    help="corpus preset, expression list, or @file")
+    sp.add_argument("--corpus", default=None,
+                    help="corpus preset, expression list, or @file "
+                         "(default: $RINGLAB_CORPUS, else 'default')")
     sp.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility and ignored: the suite runs in one thread")
     sp.set_defaults(fn=cmd_suite)
@@ -209,7 +218,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hunt", help="hunt for a counterexample to an implication")
     common(sp, ring_arg=False)
     sp.add_argument("--implies", required=True, help='"antecedent => consequent"')
-    sp.add_argument("--corpus", default=os.environ.get("RINGLAB_CORPUS", "default"))
+    sp.add_argument("--corpus", default=None, help="as for suite")
     sp.add_argument("--all", action="store_true", help="collect all counterexamples")
     sp.set_defaults(fn=cmd_hunt)
 
@@ -225,9 +234,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, UnknownPredicate) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (CrossCheckMismatch, CharacterizationMismatch) as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return 1

@@ -22,8 +22,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import (
-    SIZE_CAP, BimoduleAxiomViolation, ClosureViolation, DimensionMismatch,
-    ElementSet, FiniteRing, NotCentral, NotCentralUnit, NotIdempotent,
+    SIZE_CAP, AxiomViolation, BimoduleAxiomViolation, ClosureViolation,
+    DimensionMismatch, ElementSet, FiniteRing, NotCentral, NotCentralUnit, NotIdempotent,
     NotTwoSidedIdeal, ParseError, SizeCap, _cached, additive_span, bool_from_mask,
     check_ring_axioms, coset_labels, element_indices, element_set_from_mask,
     ideal_failure, is_central, loads_ring, mask_from_bool, nilpotents_mask,
@@ -403,47 +403,38 @@ def self_bimodule(R: FiniteRing) -> BimoduleSpec:
     return BimoduleSpec(R.add, R.zero, R.mul, R.mul)
 
 
-def validate_bimodule(S: FiniteRing, T: FiniteRing, M: BimoduleSpec) -> None:
+def validate_bimodule(S: FiniteRing, T: FiniteRing, M: BimoduleSpec):
+    """The bimodule checks an assembled ring cannot make: the table shapes,
+    every entry and `zero` in 0..m-1, and s0 = 0 = 0t.  Returns the
+    addition, left and right tables as int64 arrays.
+
+    Given these, every bimodule law is a ring law on elements with one
+    nonzero slot (sm is [s,0;0,0][0,m;0,0]), so the exact validation of the
+    formal triangular ring or Morita context decides the rest: see
+    `_bimodule_ring`.
+    """
     m = M.size
-    G = np.asarray(M.add, dtype=np.int64)
-    L = np.asarray(M.left, dtype=np.int64)
-    Rt = np.asarray(M.right, dtype=np.int64)
-    if L.shape != (S.order, m) or Rt.shape != (m, T.order):
-        raise BimoduleAxiomViolation("action table dimensions do not match the rings")
-    idx = np.arange(m)
-    if not np.array_equal(G, G.T) or not np.array_equal(G[M.zero], idx):
-        raise BimoduleAxiomViolation("bimodule addition is not an abelian group with the given zero")
-    for i in range(m):
-        if not np.array_equal(G[G[i]], G[i][G]):
-            raise BimoduleAxiomViolation(f"bimodule addition associativity fails at {i}")
-        if M.zero not in set(M.add[i]):
-            raise BimoduleAxiomViolation(f"bimodule element {i} has no additive inverse")
-    if not np.array_equal(L[S.one], idx):
-        raise BimoduleAxiomViolation("left action is not unital")
-    if not np.array_equal(Rt[:, T.one], idx):
-        raise BimoduleAxiomViolation("right action is not unital")
-    for s in range(S.order):
-        # s(m1+m2) = sm1 + sm2 and (s1 s2)m = s1(s2 m)
-        if not np.array_equal(L[s][G], G[np.ix_(L[s], L[s])]):
-            raise BimoduleAxiomViolation(f"left action of {s} is not additive")
-        if not np.array_equal(L[S.np_mul[s]], L[s][L]):
-            raise BimoduleAxiomViolation(f"left action associativity fails at s={s}")
-        # (s+s')m = sm + s'm
-        for s2 in range(S.order):
-            if not np.array_equal(L[S.add[s][s2]], G[L[s], L[s2]]):
-                raise BimoduleAxiomViolation(f"left action biadditivity fails at ({s},{s2})")
-    for t in range(T.order):
-        if not np.array_equal(Rt[G[:, :], t].reshape(m, m), G[np.ix_(Rt[:, t], Rt[:, t])]):
-            raise BimoduleAxiomViolation(f"right action of {t} is not additive")
-        for t2 in range(T.order):
-            if not np.array_equal(Rt[:, T.mul[t][t2]], Rt[Rt[:, t], t2]):
-                raise BimoduleAxiomViolation(f"right action associativity fails at ({t},{t2})")
-            if not np.array_equal(Rt[:, T.add[t][t2]], G[Rt[:, t], Rt[:, t2]]):
-                raise BimoduleAxiomViolation(f"right action biadditivity fails at ({t},{t2})")
-    for s in range(S.order):
-        for t in range(T.order):
-            if not np.array_equal(Rt[L[s], t], L[s][Rt[:, t]]):
-                raise BimoduleAxiomViolation(f"actions do not commute at (s={s},t={t})")
+    try:
+        G, L, Rt = (np.array(x, dtype=np.int64) for x in (M.add, M.left, M.right))
+    except (TypeError, ValueError) as exc:      # ragged rows or non-integer entries
+        raise BimoduleAxiomViolation(f"bimodule tables are not integer tables: {exc}") from exc
+    if G.shape != (m, m) or L.shape != (S.order, m) or Rt.shape != (m, T.order):
+        raise BimoduleAxiomViolation("bimodule table dimensions do not match the rings")
+    if not 0 <= M.zero < m or any(x.min() < 0 or x.max() >= m for x in (G, L, Rt)):
+        raise BimoduleAxiomViolation(f"bimodule zero or table entry outside 0..{m - 1}")
+    if (L[:, M.zero] != M.zero).any() or (Rt[M.zero] != M.zero).any():
+        raise BimoduleAxiomViolation("an action does not send the bimodule zero to zero")
+    return G, L, Rt
+
+
+def _bimodule_ring(name, *args) -> FiniteRing:
+    """`_slot_ring` for a ring assembled from bimodules that passed
+    `validate_bimodule`: the component rings are valid, so an axiom the
+    assembled ring fails is a bimodule law that fails."""
+    try:
+        return _slot_ring(name, *args)
+    except AxiomViolation as exc:
+        raise BimoduleAxiomViolation(f"{name}: the bimodule laws fail ({exc})") from exc
 
 
 def formal_triangular(S: FiniteRing, T: FiniteRing,
@@ -455,20 +446,19 @@ def formal_triangular(S: FiniteRing, T: FiniteRing,
             raise BimoduleAxiomViolation(
                 "default self-action bimodule needs identical component rings")
         M = self_bimodule(S)
-    validate_bimodule(S, T, M)
-    G, L, Rt = (np.asarray(x, dtype=np.int64) for x in (M.add, M.left, M.right))
+    G, L, Rt = validate_bimodule(S, T, M)
 
     def tri_mul(s, m, t):
         yield _pair(S.np_mul, s, s)
         yield G[L[s[:, None], m[None, :]], Rt[m[:, None], t[None, :]]]
         yield _pair(T.np_mul, t, t)
 
-    return _slot_ring(f"Tri({S.name},{T.name})",
-                      [(S.np_add, S.zero), (G, M.zero), (T.np_add, T.zero)], tri_mul,
-                      [S.one, M.zero, T.one],
-                      lambda si, mi, ti: f"[[{S.label(si)},m{mi}],[0,{T.label(ti)}]]",
-                      {"kind": "formal_triangular", "bases": (S, T),
-                       "delta_digits": (0, None, 1), "delta_relation": "subset"}, size_cap)
+    return _bimodule_ring(f"Tri({S.name},{T.name})",
+                          [(S.np_add, S.zero), (G, M.zero), (T.np_add, T.zero)], tri_mul,
+                          [S.one, M.zero, T.one],
+                          lambda si, mi, ti: f"[[{S.label(si)},m{mi}],[0,{T.label(ti)}]]",
+                          {"kind": "formal_triangular", "bases": (S, T),
+                           "delta_digits": (0, None, 1), "delta_relation": "subset"}, size_cap)
 
 
 def trivial_morita(A: FiniteRing, B: FiniteRing,
@@ -482,10 +472,8 @@ def trivial_morita(A: FiniteRing, B: FiniteRing,
                 "default self-action bimodules need identical component rings")
         M = M or self_bimodule(A)
         N = N or self_bimodule(B)
-    validate_bimodule(A, B, M)
-    validate_bimodule(B, A, N)
-    GM, LM, RM = (np.asarray(x, dtype=np.int64) for x in (M.add, M.left, M.right))
-    GN, LN, RN = (np.asarray(x, dtype=np.int64) for x in (N.add, N.left, N.right))
+    GM, LM, RM = validate_bimodule(A, B, M)
+    GN, LN, RN = validate_bimodule(B, A, N)
 
     def morita_mul(a, m, n, b):
         yield _pair(A.np_mul, a, a)                                  # MN = 0
@@ -493,59 +481,29 @@ def trivial_morita(A: FiniteRing, B: FiniteRing,
         yield GN[RN[n[:, None], a[None, :]], LN[b[:, None], n[None, :]]]
         yield _pair(B.np_mul, b, b)                                  # NM = 0
 
-    return _slot_ring(f"Morita({A.name},{B.name})",
-                      [(A.np_add, A.zero), (GM, M.zero), (GN, N.zero), (B.np_add, B.zero)],
-                      morita_mul, [A.one, M.zero, N.zero, B.one],
-                      lambda ai, mi, ni, bi: f"[[{A.label(ai)},m{mi}],[n{ni},{B.label(bi)}]]",
-                      {"kind": "trivial_morita", "bases": (A, B),
-                       "delta_digits": (0, None, None, 1), "delta_relation": "subset"}, size_cap)
+    return _bimodule_ring(f"Morita({A.name},{B.name})",
+                          [(A.np_add, A.zero), (GM, M.zero), (GN, N.zero), (B.np_add, B.zero)],
+                          morita_mul, [A.one, M.zero, N.zero, B.one],
+                          lambda ai, mi, ni, bi: f"[[{A.label(ai)},m{mi}],[n{ni},{B.label(bi)}]]",
+                          {"kind": "trivial_morita", "bases": (A, B),
+                           "delta_digits": (0, None, None, 1), "delta_relation": "subset"},
+                          size_cap)
 
 
 # ---------------------------------------------------------------------------
 # enumeration of small unital rings, with isomorphism dedup
 
 def abelian_group_factorizations(order: int) -> list[tuple[int, ...]]:
-    """Invariant-factor chains (d1 >= d2 >= ..., d_{i+1} | d_i) for each
-    abelian group of the given order, largest exponent first."""
-    if order == 1:
-        return [(1,)]
-    factors: dict[int, int] = {}
-    rem = order
-    p = 2
-    while p * p <= rem:
-        while rem % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            rem //= p
-        p += 1
-    if rem > 1:
-        factors[rem] = factors.get(rem, 0) + 1
-
-    def partitions(k: int, maxpart: int) -> list[tuple[int, ...]]:
-        if k == 0:
+    """Invariant-factor chains (d1, d2, ... with d_{i+1} | d_i and product
+    `order`), one per abelian group of that order, in decreasing
+    lexicographic order; order 1 gives [(1,)]."""
+    def chains(rest: int, bound: int) -> list[tuple[int, ...]]:
+        # the chains of factors > 1 with product rest, each dividing bound
+        if rest == 1:
             return [()]
-        out = []
-        for first in range(min(k, maxpart), 0, -1):
-            for rest in partitions(k - first, first):
-                out.append((first,) + rest)
-        return out
-
-    per_prime = {p: partitions(e, e) for p, e in factors.items()}
-    combos = [()]
-    for p in sorted(per_prime):
-        combos = [c + (lam,) for c in combos for lam in per_prime[p]]
-    groups = []
-    primes = sorted(per_prime)
-    for combo in combos:
-        depth = max(len(lam) for lam in combo)
-        dims = []
-        for i in range(depth):
-            d = 1
-            for p, lam in zip(primes, combo):
-                if i < len(lam):
-                    d *= p ** lam[i]
-            dims.append(d)
-        groups.append(tuple(dims))
-    return sorted(groups, reverse=True)
+        return [(d,) + c for d in range(min(rest, bound), 1, -1)
+                if rest % d == 0 and bound % d == 0 for c in chains(rest // d, d)]
+    return [c or (1,) for c in chains(order, order)]
 
 
 def _additive_orders(A: np.ndarray, zero: int) -> np.ndarray:

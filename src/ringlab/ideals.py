@@ -345,34 +345,18 @@ def r4_ideal_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
     """Intersection of the two-sided ideals P for which R/P has a simple right
     module, faithful over R/P and singular over R.
 
-    Implemented literally: simple modules of Q = R/P arise as Q/(maximal right
-    ideal); faithfulness is checked in Q and singularity elementwise in R.
+    The simple modules of R/P are the R/M for maximal right ideals M of R
+    containing P (the correspondence theorem), and R/M is faithful over R/P
+    exactly when its annihilator, the largest two-sided ideal inside M
+    (`_bound_mask`), is P.  So the P that qualify are the bounds of the
+    maximal right ideals M of R with R/M singular, read off R's own lattice;
+    singularity is checked element by element.
     """
     def compute():
-        n = R.order
-        masks = all_right_ideal_masks(R, lattice_cap)
-        two_sided = [m for m in masks if is_two_sided_mask(R, m)]
-        cyc = cyclic_masks(R)
         out = R.full_mask()
-        for P in two_sided:
-            if P == R.full_mask():
-                continue
-            es = element_set_from_mask(R, P, "two-sided-ideal", check=False)
-            q = quotient_ring(R, es)
-            Q = q.ring
-            qlat = all_right_ideals(Q, lattice_cap)
-            zero_bit_q = 1 << Q.zero
-            found = False
-            for Mq in qlat.maximal:
-                if _bound_mask(Q, Mq) != zero_bit_q:
-                    continue  # Q/Mq is not faithful over Q
-                # preimage of Mq in R
-                Mr = mask_from_bool(bool_from_mask(Mq, Q.order)[list(q.proj)])
-                if _singular_quotient(R, Mr):
-                    found = True
-                    break
-            if found:
-                out &= P
+        for M in all_right_ideals(R, lattice_cap).maximal:
+            if _singular_quotient(R, M):
+                out &= _bound_mask(R, M)
         return out
     return _cached(R, ("r4", lattice_cap), compute)
 

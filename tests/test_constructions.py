@@ -407,6 +407,44 @@ def test_enumeration_errors_are_raised_on_iteration():
             next(rings)
 
 
+def _prime_power_factorizations(order):
+    """The former enumeration of invariant-factor chains, through the prime
+    factorization and the partitions of each exponent; kept as the oracle."""
+    if order == 1:
+        return [(1,)]
+    factors = {}
+    rem = order
+    p = 2
+    while p * p <= rem:
+        while rem % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            rem //= p
+        p += 1
+    if rem > 1:
+        factors[rem] = factors.get(rem, 0) + 1
+
+    def partitions(k, maxpart):
+        if k == 0:
+            return [()]
+        return [(first,) + rest for first in range(min(k, maxpart), 0, -1)
+                for rest in partitions(k - first, first)]
+
+    primes = sorted(factors)
+    groups = []
+    for combo in itertools.product(*(partitions(factors[p], factors[p]) for p in primes)):
+        depth = max(len(lam) for lam in combo)
+        groups.append(tuple(math.prod(p ** lam[i] for p, lam in zip(primes, combo) if i < len(lam))
+                            for i in range(depth)))
+    return sorted(groups, reverse=True)
+
+
+def test_abelian_group_factorizations_match_prime_power_oracle():
+    for order in range(1, 400):
+        assert abelian_group_factorizations(order) == _prime_power_factorizations(order), order
+    assert abelian_group_factorizations(1) == [(1,)]
+    assert abelian_group_factorizations(16) == [(16,), (8, 2), (4, 4), (4, 2, 2), (2, 2, 2, 2)]
+
+
 # ---------------------------------------------------------------------------
 # the scalar enumeration, kept as the oracle of the batched bilinear build
 

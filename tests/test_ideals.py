@@ -302,3 +302,35 @@ def test_delta_matches_lattice_free_route(default_corpus):
     assert len(tables) == 149
     for R in tables.values():
         assert zhou_radical_mask(R) == lattice_free_delta(R), R.name
+
+
+def literal_r4(R):
+    """r4 as the definition reads: for each proper two-sided ideal P, build
+    Q = R/P and its lattice, and keep P when some maximal right ideal Mq of Q
+    has Q/Mq faithful over Q and its preimage Mr has R/Mr singular."""
+    from ringlab.constructions import is_two_sided_mask
+    from ringlab.ideals import _bound_mask, _singular_quotient
+    out = R.full_mask()
+    for P in all_right_ideal_masks(R):
+        if P == R.full_mask() or not is_two_sided_mask(R, P):
+            continue
+        q = quotient_ring(R, element_set_from_mask(R, P, "two-sided-ideal"))
+        Q = q.ring
+        for Mq in all_right_ideals(Q).maximal:
+            if _bound_mask(Q, Mq) != 1 << Q.zero:
+                continue                  # Q/Mq is not faithful over Q
+            if _singular_quotient(R, mask_from_bool(bool_from_mask(Mq, Q.order)[list(q.proj)])):
+                out &= P
+                break
+    return out
+
+
+def test_r4_matches_literal_definition(default_corpus):
+    _, members = default_corpus
+    tables = {m.ring.digest: m.ring for m in members if m.ring.order <= 32}
+    for order in range(1, 9):
+        for R in enumerate_unital_rings(order, up_to_iso=False):
+            tables.setdefault(R.digest, R)
+    assert len(tables) == 135
+    for R in tables.values():
+        assert r4_ideal_mask(R) == literal_r4(R), R.name

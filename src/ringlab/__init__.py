@@ -15,8 +15,7 @@ from .constructions import (
 from .ideals import (
     IdealLattice, all_right_ideals, delta_sharp, is_delta_small,
     is_direct_summand, is_essential, is_semiprime_ideal, jacobson_radical,
-    r2_ideal, r3_membership, r4_ideal, r5_membership, right_ideal_generated,
-    socle, zhou_radical)
+    r5_membership, right_ideal_generated, socle, zhou_radical)
 from .predicates import (
     PREDICATES, PropertyReport, PropertyResult, evaluate_predicate,
     property_report)

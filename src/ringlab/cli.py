@@ -58,10 +58,10 @@ def cmd_radical(args) -> int:
             print(f"unknown radical {w!r}; choose from {', '.join(RADICALS)}", file=sys.stderr)
             return 2
     fns = {
-        "jacobson": lambda R: jacobson_radical_mask(R, args.lattice_cap),
-        "socle": lambda R: socle_mask(R, args.lattice_cap),
-        "delta": lambda R: zhou_radical_mask(R, args.lattice_cap),
-        "delta-sharp": lambda R: delta_sharp_mask(R, args.lattice_cap),
+        "jacobson": jacobson_radical_mask,
+        "socle": socle_mask,
+        "delta": zhou_radical_mask,
+        "delta-sharp": delta_sharp_mask,
     }
     payload: dict = {"tool_version": TOOL_VERSION, "ring": ring.name,
                      "order": ring.order, "radicals": {}, "agreement": "ok"}

@@ -36,11 +36,14 @@ def _validated(name, zero, one, add, mul, labels=None, meta=None,
     """Axiom validation, run once per table digest: the per-digest cache
     remembers that a table was proven valid.
 
-    add and mul may be integer arrays; FiniteRing stores them as int32."""
+    add and mul may be integer arrays; FiniteRing stores them as int32.
+    labels may be any iterable; it is read only once validation passes."""
     if len(add) > size_cap:
         raise SizeCap(f"order {len(add)} exceeds size cap {size_cap}")
-    R = FiniteRing(name, zero, one, add, mul, labels, meta)
+    R = FiniteRing(name, zero, one, add, mul, None, meta)
     _cached(R, "validated", lambda: check_ring_axioms(R))
+    if labels is not None:
+        R.labels = tuple(labels)
     return R
 
 
@@ -117,7 +120,7 @@ def _slot_ring(name, slots, mul_slots, one, label, meta, size_cap) -> FiniteRing
     digs = _digit_grids(dims)
     add = _encode_slots((_pair(A, d, d) for (A, _), d in zip(slots, digs)), dims)
     mul = _encode_slots(mul_slots(*digs), dims)
-    labels = [label(*d) for d in itertools.product(*map(range, dims))]
+    labels = (label(*d) for d in itertools.product(*map(range, dims)))
     return _validated(name, encode_digits([z for _, z in slots], dims), encode_digits(one, dims),
                       add, mul, labels, {**meta, "dims": dims}, size_cap)
 

@@ -682,9 +682,9 @@ def _cached(R: FiniteRing, key, compute):
 
 def units_mask(R: FiniteRing) -> int:
     def compute():
-        is_one = R.np_mul == R.one
-        # u is a unit iff some v has uv = 1 and vu = 1
-        return mask_from_bool((is_one & is_one.T).any(axis=1))
+        # u is a unit iff some v has uv = 1, rows only: then x -> vx is
+        # injective, so onto in a finite ring, vw = 1 for some w, and w = uvw = u
+        return mask_from_bool((R.np_mul == R.one).any(axis=1))
     return _cached(R, "units_mask", compute)
 
 

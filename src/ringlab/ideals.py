@@ -1,8 +1,14 @@
-"""Right-ideal lattice machinery and radical computations.
+"""Radical computations and the right-ideal lattice that cross-checks them.
 
-The Zhou radical is computed by independent characterizations that are
-cross-checked against each other; a disagreement raises CrossCheckMismatch
-because the whole artifact's value rests on their mutual verification.
+J, Soc and delta are computed without the lattice: J from the units,
+Soc(R_R) as {x : xJ = 0}, delta as the preimage of J(R/Soc).  Every call of
+J and delta checks its value against a second lattice-free route (the left
+unit form of J; for delta, units modulo Soc read in R).  The lattice routes (r1, the
+pullback through the lattice socle and J, r2-r5) live in
+`radical_characterizations`, which T1 and `radical --all-characterizations`
+run, and which compares them with the production J, Soc and delta.
+`lattice_cap` bounds only the lattice and what is read off it.  Any
+disagreement raises CrossCheckMismatch.
 
 Subsets travel as int bitmasks.  Additive subgroups come from two kernels
 in `core`: `additive_span` (greedy generators and the subgroup they span;
@@ -155,104 +161,111 @@ def is_essential(R: FiniteRing, E: ElementSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# socle and Jacobson radical
+# production radicals, without the lattice
 
-def socle_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
+def _quasi_regular(R: FiniteRing, unit: np.ndarray) -> np.ndarray:
+    """quasi[z]: 1 - z lies in the unit set given as a boolean array."""
+    return unit[R.np_add[R.one][R.neg]]
+
+
+def jacobson_radical_mask(R: FiniteRing) -> int:
+    """J(R) = {x : 1 - xy is a unit for every y}, read off one gather of
+    quasi[xy]; its columns give the left form {y : 1 - xy is a unit for
+    every x}, compared on every call."""
     def compute():
-        m = 1 << R.zero
-        for s in all_right_ideals(R, lattice_cap).minimal:
-            m |= s
-        return additive_span_mask(R, m)
-    return _cached(R, ("socle", lattice_cap), compute)
+        quasi = _quasi_regular(R, bool_from_mask(units_mask(R), R.order))[R.np_mul]
+        right, left = quasi.all(axis=1), quasi.all(axis=0)
+        if not np.array_equal(right, left):
+            raise CrossCheckMismatch(
+                f"J({R.name}): right unit form {np.flatnonzero(right).tolist()} "
+                f"!= left unit form {np.flatnonzero(left).tolist()}")
+        return mask_from_bool(right)
+    return _cached(R, "jacobson", compute)
 
 
-def socle(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> ElementSet:
+def jacobson_radical(R: FiniteRing) -> ElementSet:
+    return element_set_from_mask(R, jacobson_radical_mask(R), "two-sided-ideal", check=False)
+
+
+def socle_mask(R: FiniteRing) -> int:
+    """Soc(R_R) = l(J(R)) = {x : xJ = 0}, which holds over any semilocal
+    ring, finite rings included (Anderson & Fuller, section 15)."""
+    def compute():
+        J = array_from_mask(jacobson_radical_mask(R), R.order)
+        return mask_from_bool((R.np_mul[:, J] == R.zero).all(axis=1))
+    return _cached(R, "socle", compute)
+
+
+def socle(R: FiniteRing) -> ElementSet:
     """Sum of all minimal right ideals; verified two-sided."""
-    m = socle_mask(R, lattice_cap)
+    m = socle_mask(R)
     if not is_two_sided_mask(R, m):
         raise SocleNotTwoSided(f"socle of {R.name} fails left closure")
     return element_set_from_mask(R, m, "two-sided-ideal", check=False)
 
 
+def zhou_radical_mask(R: FiniteRing) -> int:
+    """delta(R) as the preimage of J(R/Soc) (Zhou 2000), checked on every
+    call against the same set read in R: x is in delta iff 1 - xy is a unit
+    modulo Soc for every y, with the units of R/Soc pulled back through the
+    projection.  T1 and `radical --all-characterizations` compare it with
+    the lattice routes of `radical_characterizations`."""
+    def compute():
+        q = quotient_ring(R, socle(R))
+        proj = np.asarray(q.proj)
+        pullback = bool_from_mask(jacobson_radical_mask(q.ring), q.ring.order)[proj]
+        unit_mod_soc = bool_from_mask(units_mask(q.ring), q.ring.order)[proj]
+        in_r = _quasi_regular(R, unit_mod_soc)[R.np_mul].all(axis=1)
+        if not np.array_equal(pullback, in_r):
+            raise CrossCheckMismatch(
+                f"delta({R.name}): pullback of J(R/Soc) {np.flatnonzero(pullback).tolist()} "
+                f"!= units modulo Soc {np.flatnonzero(in_r).tolist()}")
+        return mask_from_bool(pullback)
+    return _cached(R, "zhou", compute)
+
+
+def zhou_radical(R: FiniteRing) -> ElementSet:
+    return element_set_from_mask(R, zhou_radical_mask(R), "two-sided-ideal", check=False)
+
+
+# ---------------------------------------------------------------------------
+# lattice routes to J, Soc and delta (the cross-check; no production call)
+
+def _socle_by_lattice(R: FiniteRing, lattice_cap: int) -> int:
+    def compute():
+        m = 1 << R.zero
+        for s in all_right_ideals(R, lattice_cap).minimal:
+            m |= s
+        return additive_span_mask(R, m)
+    return _cached(R, ("socle_lattice", lattice_cap), compute)
+
+
 def _jacobson_by_lattice(R: FiniteRing, lattice_cap: int) -> int:
-    lat = all_right_ideals(R, lattice_cap)
     m = R.full_mask()
-    for M in lat.maximal:
+    for M in all_right_ideals(R, lattice_cap).maximal:
         m &= M
     return m
 
 
-def _jacobson_by_units(R: FiniteRing) -> int:
-    # J(R) = {x : 1 - x y is a unit for every y}
-    n = R.order
-    A, M = R.np_add, R.np_mul
-    NEG = np.asarray(R.neg, dtype=np.int64)
-    one_row = A[R.one]
-    ub = bool_from_mask(units_mask(R), n)
-    ok = np.empty(n, dtype=bool)
-    for x in range(n):
-        t = one_row[NEG[M[x]]]
-        ok[x] = bool(ub[t].all())
-    return mask_from_bool(ok)
-
-
-def jacobson_radical_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
-    def compute():
-        by_lattice = _jacobson_by_lattice(R, lattice_cap)
-        by_units = _jacobson_by_units(R)
-        if by_lattice != by_units:
-            raise CrossCheckMismatch(
-                f"J({R.name}): maximal-ideal intersection {sorted(mask_iter(by_lattice))} "
-                f"!= unit characterization {sorted(mask_iter(by_units))}")
-        return by_lattice
-    return _cached(R, ("jacobson", lattice_cap), compute)
-
-
-def jacobson_radical(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> ElementSet:
-    """Intersection of all maximal right ideals, cross-checked against
-    {x : 1 - xy is a unit for all y}."""
-    return element_set_from_mask(R, jacobson_radical_mask(R, lattice_cap),
-                                 "two-sided-ideal", check=False)
-
-
-# ---------------------------------------------------------------------------
-# the Zhou radical and its characterizations
-
-def zhou_radical_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
-    """Primary: intersect the essential maximal right ideals (empty
-    intersection = R, matching the semisimple case).  Cross-checked against
-    the pullback of J(R/socle) through the quotient projection."""
-    def compute():
-        primary = _zhou_by_essential(R, lattice_cap)
-        pullback = _zhou_by_socle_quotient(R, lattice_cap)
-        if primary != pullback:
-            raise CrossCheckMismatch(
-                f"delta({R.name}): essential-maximal intersection "
-                f"{sorted(mask_iter(primary))} != socle-quotient pullback "
-                f"{sorted(mask_iter(pullback))}")
-        return primary
-    return _cached(R, ("zhou", lattice_cap), compute)
-
-
 def _zhou_by_essential(R: FiniteRing, lattice_cap: int) -> int:
-    lat = all_right_ideals(R, lattice_cap)
+    """r1: the intersection of the essential maximal right ideals (empty
+    intersection = R, matching the semisimple case)."""
     m = R.full_mask()
-    for E in lat.essential_maximal:
+    for E in all_right_ideals(R, lattice_cap).essential_maximal:
         m &= E
     return m
 
 
 def _zhou_by_socle_quotient(R: FiniteRing, lattice_cap: int) -> int:
-    soc = socle(R, lattice_cap)
-    q = quotient_ring(R, soc)
-    jq = jacobson_radical_mask(q.ring, lattice_cap)
+    """The pullback of the lattice J(R/Soc) through the lattice socle."""
+    soc = _socle_by_lattice(R, lattice_cap)
+    q = quotient_ring(R, element_set_from_mask(R, soc, "two-sided-ideal", check=False))
+    jq = _jacobson_by_lattice(q.ring, lattice_cap)
     return mask_from_bool(bool_from_mask(jq, q.ring.order)[list(q.proj)])
 
 
-def zhou_radical(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> ElementSet:
-    return element_set_from_mask(R, zhou_radical_mask(R, lattice_cap),
-                                 "two-sided-ideal", check=False)
-
+# ---------------------------------------------------------------------------
+# the other characterizations of delta
 
 def summand_masks(R: FiniteRing) -> frozenset[int]:
     """Masks of the direct summands of R_R, i.e. the ideals eR for e idempotent."""
@@ -265,11 +278,6 @@ def summand_masks(R: FiniteRing) -> frozenset[int]:
 def is_direct_summand(R: FiniteRing, K: ElementSet | int) -> bool:
     m = K if isinstance(K, int) else K.mask
     return m in summand_masks(R)
-
-
-def r3_membership(R: FiniteRing, x: int, lattice_cap: int = LATTICE_CAP) -> bool:
-    """x such that xR + K = R forces K to be a direct summand of R_R."""
-    return bool((r3_mask(R, lattice_cap) >> x) & 1)
 
 
 def r3_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
@@ -300,7 +308,7 @@ def r5_membership(R: FiniteRing, x: int, lattice_cap: int = LATTICE_CAP) -> bool
 def r5_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
     def compute():
         n = R.order
-        soc = socle_mask(R, lattice_cap)
+        soc = _socle_by_lattice(R, lattice_cap)
         masks = all_right_ideal_masks(R, lattice_cap)
         sem = [(Y, Y.bit_count()) for Y in masks if (Y | soc) == soc]
         cyc = cyclic_masks(R)
@@ -323,16 +331,6 @@ def r5_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
                 out |= 1 << x
         return out
     return _cached(R, ("r5", lattice_cap), compute)
-
-
-def r4_ideal(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> ElementSet:
-    return element_set_from_mask(R, r4_ideal_mask(R, lattice_cap),
-                                 "two-sided-ideal", check=False)
-
-
-def r2_ideal(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> ElementSet:
-    return element_set_from_mask(R, r2_ideal_mask(R, lattice_cap),
-                                 "right-ideal", check=False)
 
 
 def _bound_mask(R: FiniteRing, M: int) -> int:
@@ -406,18 +404,17 @@ def r2_ideal_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
 # ---------------------------------------------------------------------------
 # delta-sharp and semiprimeness
 
-def delta_sharp_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
+def delta_sharp_mask(R: FiniteRing) -> int:
     """{x : some power of x lies in delta(R)}, decided on one high power of
     each x (`core.high_powers`), since delta(R) is a two-sided ideal."""
     def compute():
-        in_d = bool_from_mask(zhou_radical_mask(R, lattice_cap), R.order)
+        in_d = bool_from_mask(zhou_radical_mask(R), R.order)
         return mask_from_bool(in_d[high_powers(R)])
-    return _cached(R, ("delta_sharp", lattice_cap), compute)
+    return _cached(R, "delta_sharp", compute)
 
 
-def delta_sharp(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> ElementSet:
-    return element_set_from_mask(R, delta_sharp_mask(R, lattice_cap),
-                                 "subset", check=False)
+def delta_sharp(R: FiniteRing) -> ElementSet:
+    return element_set_from_mask(R, delta_sharp_mask(R), "subset", check=False)
 
 
 def is_semiprime_ideal(R: FiniteRing, I: ElementSet | int) -> bool:
@@ -434,13 +431,25 @@ def is_semiprime_ideal(R: FiniteRing, I: ElementSet | int) -> bool:
 def radical_characterizations(R: FiniteRing,
                               lattice_cap: int = LATTICE_CAP,
                               quantifier_cap: int = QUANTIFIER_CAP) -> dict[str, Optional[int]]:
-    """All available characterizations of delta(R) as masks.
+    """All available characterizations of delta(R) as masks, read off the
+    right-ideal lattice (which `lattice_cap` bounds).
 
-    r2/r4 quantify over the whole lattice and are gated to rings of order
-    <= quantifier_cap (None above it).
+    The production J, Soc and delta must equal the lattice's maximal-ideal
+    intersection, sum of minimal right ideals and r1, or CrossCheckMismatch
+    is raised.  r2/r4 quantify over the whole lattice and are gated to rings
+    of order <= quantifier_cap (None above it).
     """
+    r1 = _zhou_by_essential(R, lattice_cap)
+    for what, lattice, production in (
+            ("J", _jacobson_by_lattice(R, lattice_cap), jacobson_radical_mask(R)),
+            ("Soc", _socle_by_lattice(R, lattice_cap), socle_mask(R)),
+            ("delta", r1, zhou_radical_mask(R))):
+        if lattice != production:
+            raise CrossCheckMismatch(
+                f"{what}({R.name}): lattice route {sorted(mask_iter(lattice))} "
+                f"!= lattice-free value {sorted(mask_iter(production))}")
     out: dict[str, Optional[int]] = {
-        "r1": _zhou_by_essential(R, lattice_cap),
+        "r1": r1,
         "pullback": _zhou_by_socle_quotient(R, lattice_cap),
         "r3": r3_mask(R, lattice_cap),
         "r5": r5_mask(R, lattice_cap),

@@ -69,16 +69,15 @@ def is_reversible(R: FiniteRing, **_) -> PropertyResult:
     return _relative_reversible(R, 1 << R.zero, "exhaustive pair scan")
 
 
-def is_j_reversible(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> PropertyResult:
+def is_j_reversible(R: FiniteRing, **_) -> PropertyResult:
     """ab = 0 implies ba in J(R)."""
-    return _relative_reversible(R, jacobson_radical_mask(R, lattice_cap),
-                                "pair scan against J(R)")
+    return _relative_reversible(R, jacobson_radical_mask(R), "pair scan against J(R)")
 
 
-def is_delta_reversible(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> PropertyResult:
+def is_delta_reversible(R: FiniteRing, **_) -> PropertyResult:
     """ab = 0 implies ba in delta(R), decided by three routes that must agree:
     the definition, the square-zero criterion, and the annihilator criterion."""
-    d = zhou_radical_mask(R, lattice_cap)
+    d = zhou_radical_mask(R)
     in_d = bool_from_mask(d, R.order)
     M = R.np_mul
     by_def = _relative_reversible(R, d, "definition + square-zero + annihilator routes")
@@ -124,10 +123,10 @@ def is_reduced(R: FiniteRing, **_) -> PropertyResult:
     return PropertyResult(True, None, "nilpotent scan")
 
 
-def is_semisimple(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> PropertyResult:
+def is_semisimple(R: FiniteRing, **_) -> PropertyResult:
     """delta(R) = R, cross-checked against J(R) = 0."""
-    by_delta = zhou_radical_mask(R, lattice_cap) == R.full_mask()
-    by_j = jacobson_radical_mask(R, lattice_cap) == (1 << R.zero)
+    by_delta = zhou_radical_mask(R) == R.full_mask()
+    by_j = jacobson_radical_mask(R) == (1 << R.zero)
     if by_delta != by_j:
         raise CrossCheckMismatch(
             f"semisimple({R.name}): delta=R says {by_delta}, J=0 says {by_j}")
@@ -141,9 +140,9 @@ def is_local(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> PropertyResu
                           f"{len(lat.maximal)} maximal right ideals")
 
 
-def is_delta_clean(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> PropertyResult:
+def is_delta_clean(R: FiniteRing, **_) -> PropertyResult:
     """Every x is idempotent + element of delta(R)."""
-    in_d = bool_from_mask(zhou_radical_mask(R, lattice_cap), R.order)
+    in_d = bool_from_mask(zhou_radical_mask(R), R.order)
     idem = array_from_mask(idempotents_mask(R), R.order)
     clean = in_d[R.np_add[:, R.neg[idem]]].any(axis=1)     # x - e in delta for some e
     if not clean.all():
@@ -151,10 +150,10 @@ def is_delta_clean(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> Proper
     return PropertyResult(True, None, "exhaustive decomposition scan")
 
 
-def is_delta_quasipolar(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> PropertyResult:
+def is_delta_quasipolar(R: FiniteRing, **_) -> PropertyResult:
     """As-used definition: every a admits p = p^2 in comm^2(a) with a + p in delta(R)."""
     method = "as-used definition: p^2 = p in comm^2(a), a + p in delta(R)"
-    d = zhou_radical_mask(R, lattice_cap)
+    d = zhou_radical_mask(R)
     if d == R.full_mask():
         return PropertyResult(True, None, method)
     in_d = bool_from_mask(d, R.order)
@@ -172,34 +171,42 @@ def is_delta_quasipolar(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> P
     return PropertyResult(True, None, method)
 
 
-def is_delta_linear_armendariz(R: FiniteRing, lattice_cap: int = LATTICE_CAP,
-                               armendariz_cap: int = ARMENDARIZ_CAP, **_) -> PropertyResult:
+_QUAD_BLOCK = 1 << 14    # quadruples per block: larger blocks raise peak memory, not speed
+
+
+def is_delta_linear_armendariz(R: FiniteRing, armendariz_cap: int = ARMENDARIZ_CAP,
+                               **_) -> PropertyResult:
     """(a0 + a1 x)(b0 + b1 x) = 0 forces every a_i b_j into delta(R).
 
     a0 b0 = a1 b1 = 0 land in delta automatically, so only the cross products
-    need checking; enumeration runs over the zero-divisor pair list.
+    need checking: a0 b1 + a1 b0 = 0 must put both in delta.  The zero pairs
+    (a0, b0) are scanned in row blocks of about `_QUAD_BLOCK` quadruples
+    against all zero pairs (a1, b1); the witness is the first bad (a0, b0) in
+    `argwhere` order, then its first bad (a1, b1).
     """
     if R.order > armendariz_cap:
         raise SizeCap(f"{R.name}: order {R.order} exceeds Armendariz cap {armendariz_cap}")
     method = "zero-pair quadruple scan"
-    A, M = R.np_add, R.np_mul
-    in_d = bool_from_mask(zhou_radical_mask(R, lattice_cap), R.order)
-    zp = np.argwhere(M == R.zero)            # pairs (a, b) with ab = 0
-    za, zb = zp[:, 0], zp[:, 1]
-    for a0, b0 in zp:
-        cross1 = M[a0, zb]                   # a0 b1 over all (a1, b1) in zp
-        cross2 = M[za, b0]                   # a1 b0
-        mid_zero = A[cross1, cross2] == R.zero
-        bad = mid_zero & (~in_d[cross1] | ~in_d[cross2])
-        if bool(bad.any()):
-            i = int(np.flatnonzero(bad)[0])
-            return PropertyResult(False, (int(a0), int(za[i]), int(b0), int(zb[i])), method)
+    M = R.np_mul
+    out_d = ~bool_from_mask(zhou_radical_mask(R), R.order)
+    za, zb = np.nonzero(M == R.zero)         # pairs (a, b) with ab = 0, in argwhere order
+    step = max(1, _QUAD_BLOCK // len(za))
+    for s in range(0, len(za), step):
+        cross1 = M[za[s:s + step, None], zb]  # a0 b1, one row per (a0, b0) in the block
+        cross2 = M[za, zb[s:s + step, None]]  # a1 b0
+        bad = (R.neg[cross1] == cross2) & (out_d[cross1] | out_d[cross2])
+        rows = bad.any(axis=1)
+        if rows.any():
+            i = int(np.argmax(rows))
+            j = int(np.argmax(bad[i]))
+            return PropertyResult(False, (int(za[s + i]), int(za[j]), int(zb[s + i]), int(zb[j])),
+                                  method)
     return PropertyResult(True, None, method)
 
 
-def idempotents_lift_mod_delta(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> PropertyResult:
+def idempotents_lift_mod_delta(R: FiniteRing, **_) -> PropertyResult:
     """Every f with f^2 - f in delta(R) is within delta(R) of a true idempotent."""
-    in_d = bool_from_mask(zhou_radical_mask(R, lattice_cap), R.order)
+    in_d = bool_from_mask(zhou_radical_mask(R), R.order)
     A, neg = R.np_add, R.neg
     idem = array_from_mask(idempotents_mask(R), R.order)
     near = in_d[A[R.np_mul.diagonal(), neg]]             # f^2 - f in delta
@@ -210,9 +217,9 @@ def idempotents_lift_mod_delta(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **
     return PropertyResult(True, None, "coset idempotent scan")
 
 
-def corner_containment(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> PropertyResult:
+def corner_containment(R: FiniteRing, **_) -> PropertyResult:
     """eR(1-e) + (1-e)Re inside delta(R) for every idempotent e."""
-    in_d = bool_from_mask(zhou_radical_mask(R, lattice_cap), R.order)
+    in_d = bool_from_mask(zhou_radical_mask(R), R.order)
     M = R.np_mul
     for e in mask_iter(idempotents_mask(R)):
         ome = R.np_add[R.one, R.neg[e]]
@@ -225,15 +232,15 @@ def corner_containment(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> Pr
     return PropertyResult(True, None, "idempotent corner scan")
 
 
-def quotient_abelian(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> PropertyResult:
+def quotient_abelian(R: FiniteRing, **_) -> PropertyResult:
     """is_abelian evaluated on R/delta(R); witness indices are coset indices."""
-    q = quotient_ring(R, zhou_radical(R, lattice_cap))
+    q = quotient_ring(R, zhou_radical(R))
     res = is_abelian(q.ring)
     return PropertyResult(res.verdict, res.witness, "abelian test on R/delta(R)")
 
 
-def quotient_reduced(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> PropertyResult:
-    q = quotient_ring(R, zhou_radical(R, lattice_cap))
+def quotient_reduced(R: FiniteRing, **_) -> PropertyResult:
+    q = quotient_ring(R, zhou_radical(R))
     res = is_reduced(q.ring)
     return PropertyResult(res.verdict, res.witness, "reduced test on R/delta(R)")
 

@@ -103,7 +103,7 @@ class SuiteContext:
         return evaluate_predicate(R, name, self.lattice_cap, self.armendariz_cap)
 
     def delta(self, R: FiniteRing) -> int:
-        return zhou_radical_mask(R, self.lattice_cap)
+        return zhou_radical_mask(R)
 
 
 @dataclass
@@ -231,7 +231,7 @@ def _radicals_agree(ctx, R) -> bool:
 
 
 def _sharp_is_delta(ctx, R) -> bool:
-    return delta_sharp_mask(R, ctx.lattice_cap) == ctx.delta(R)
+    return delta_sharp_mask(R) == ctx.delta(R)
 
 
 def _ideal_products(ctx, R):
@@ -373,11 +373,9 @@ CASES: tuple[Case, ...] = (
     Case("T3", "Every J-reversible ring is delta-reversible.", _DR, "j-reversible"),
     Case("T4", "If the socle lies in J(R), delta-reversible iff J-reversible.",
          lambda ctx, R: ctx.pred(R, _DR) == ctx.pred(R, "j-reversible"),
-         lambda ctx, R: socle_mask(R, ctx.lattice_cap) & ~jacobson_radical_mask(
-             R, ctx.lattice_cap) == 0),
+         lambda ctx, R: socle_mask(R) & ~jacobson_radical_mask(R) == 0),
     Case("T5", "If R/socle(R) is J-reversible then R is delta-reversible.", _DR,
-         lambda ctx, R: ctx.pred(quotient_ring(R, socle(R, ctx.lattice_cap)).ring,
-                                 "j-reversible"),
+         lambda ctx, R: ctx.pred(quotient_ring(R, socle(R)).ring, "j-reversible"),
          detail="quotient J-reversible but R not delta-reversible"),
     Case("T6", "Delta-reversible with idempotents lifting modulo delta(R) forces R/delta(R) "
          "abelian.", "quotient-abelian",

@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ringlab.core import AxiomViolation, BimoduleAxiomViolation, SizeCap, units_mask
+from ringlab.core import AxiomViolation, BimoduleAxiomViolation, FiniteRing, SizeCap, units_mask
 from ringlab.constructions import (
     BimoduleSpec, direct_product, enumerate_unital_rings, formal_triangular, make_zn,
     trivial_morita, upper_triangular_ring)
@@ -143,11 +143,14 @@ PLACES = ["tri", "morita-M", "morita-N"]
 
 @pytest.mark.parametrize("where", PLACES)
 @pytest.mark.parametrize("name", LAW_CASES)
-def test_bimodule_law_failures_come_from_the_assembled_ring(name, where):
+def test_bimodule_law_failures_come_from_the_assembled_ring(name, where, monkeypatch):
     S, T, spec = _case(name)
+    labelled = []
+    monkeypatch.setattr(FiniteRing, "label", lambda R, i: labelled.append(i) or str(i))
     with pytest.raises(BimoduleAxiomViolation) as exc:
         _place(where, S, T, spec)
     assert isinstance(exc.value.__cause__, AxiomViolation)
+    assert labelled == []         # element labels are built only once validation passes
     assert not _accepts(lambda: old_validate_bimodule(S, T, spec))
 
 

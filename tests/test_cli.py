@@ -43,6 +43,17 @@ def test_construct_hst_order(tmp_path, capsys):
     assert "order 64" in printed
 
 
+def test_lattice_cap_bounds_only_lattice_routes(capsys):
+    # Zn(4) has 3 right ideals: the lattice-free delta ignores a cap of 2,
+    # the lattice routes of --all-characterizations stop at it
+    code, out, _ = run_cli("radical", "Zn(4)", "--which", "delta", "--lattice-cap", "2",
+                           capsys=capsys)
+    assert code == 0 and json.loads(out)["radicals"]["delta"] == [0, 2]
+    code, _, err = run_cli("radical", "Zn(4)", "--which", "delta", "--lattice-cap", "2",
+                           "--all-characterizations", capsys=capsys)
+    assert code == 2 and "more than 2 right ideals" in err
+
+
 def test_construct_parse_error_exit_2(capsys):
     code, _, err = run_cli("construct", "Zn(", capsys=capsys)
     assert code == 2

@@ -1,18 +1,23 @@
+import random
+
 import numpy as np
 import pytest
 
+from ringlab import ideals
 from ringlab.core import (
-    LATTICE_CAP, DimensionMismatch, LatticeCap, array_from_mask, bool_from_mask, element_set,
-    element_set_from_mask, mask_elems, mask_from_bool, mask_of)
+    LATTICE_CAP, CrossCheckMismatch, DimensionMismatch, LatticeCap, array_from_mask,
+    bool_from_mask, element_set, element_set_from_mask, mask_elems, mask_from_bool, mask_of,
+    units_mask)
 from ringlab.constructions import (
     construct, direct_product, enumerate_unital_rings, ks_ring, make_zn, matrix_ring,
     quotient_ring, upper_triangular_ring)
 from ringlab.ideals import (
-    _jacobson_by_units, all_right_ideal_masks, all_right_ideals, assert_radical_agreement,
-    delta_sharp, delta_sharp_mask, is_delta_small, is_direct_summand, is_essential,
-    is_semiprime_ideal, jacobson_radical, jacobson_radical_mask, r2_ideal_mask, r3_mask,
-    r4_ideal_mask, r5_membership, right_ideal_generated, socle, socle_mask, summand_masks,
-    zhou_radical, zhou_radical_mask)
+    _jacobson_by_lattice, _socle_by_lattice, _zhou_by_essential, _zhou_by_socle_quotient,
+    all_right_ideal_masks, all_right_ideals, assert_radical_agreement, delta_sharp,
+    delta_sharp_mask, is_delta_small, is_direct_summand, is_essential, is_semiprime_ideal,
+    jacobson_radical, jacobson_radical_mask, r2_ideal_mask, r3_mask, r4_ideal_mask, r5_mask,
+    r5_membership, radical_characterizations, right_ideal_generated, socle, socle_mask,
+    summand_masks, zhou_radical, zhou_radical_mask)
 from ringlab.predicates import evaluate_predicate
 
 
@@ -208,20 +213,41 @@ def _outcome(fn, R, cap):
         return ("raises", "LatticeCap")
 
 
-@pytest.mark.parametrize("fn", [
-    all_right_ideal_masks, zhou_radical_mask, jacobson_radical_mask, socle_mask,
-    delta_sharp_mask,
-    lambda R, cap: evaluate_predicate(R, "delta-reversible", cap).verdict,
-], ids=["lattice", "zhou", "jacobson", "socle", "delta_sharp", "delta-reversible"])
+# Calls that build the right-ideal lattice, which the cap bounds.
+LATTICE_BACKED = {
+    "lattice": all_right_ideal_masks,
+    "r3": r3_mask,
+    "r5": r5_mask,
+    "characterizations": radical_characterizations,
+    "local": lambda R, cap: evaluate_predicate(R, "local", cap).verdict,
+}
+# Calls that never build it: the cap does not reach them.
+LATTICE_FREE = {
+    "zhou": lambda R, cap: zhou_radical_mask(R),
+    "jacobson": lambda R, cap: jacobson_radical_mask(R),
+    "socle": lambda R, cap: socle_mask(R),
+    "delta_sharp": lambda R, cap: delta_sharp_mask(R),
+    "delta-reversible": lambda R, cap: evaluate_predicate(R, "delta-reversible", cap).verdict,
+}
+
+
+@pytest.mark.parametrize("name", [*LATTICE_BACKED, *LATTICE_FREE])
 @pytest.mark.parametrize("cap", [2, 8])
-def test_lattice_cap_same_cold_and_warm(fn, cap):
-    # F2 x F2 x F2 has exactly 8 right ideals: cap 2 must raise, cap 8 must not
+def test_lattice_cap_same_cold_and_warm(name, cap):
+    # F2 x F2 x F2 has exactly 8 right ideals: a lattice-backed call raises at
+    # cap 2 and not at cap 8, cold or warm; a lattice-free call returns the
+    # same value at every cap, cold or after a lattice-warming call
+    fn = LATTICE_BACKED.get(name) or LATTICE_FREE[name]
     R = construct("Prod(Zn(2),Zn(2),Zn(2))")
     R.cache.clear()
     cold = _outcome(fn, R, cap)
-    fn(R, LATTICE_CAP)
+    full = fn(R, LATTICE_CAP)
+    radical_characterizations(R, LATTICE_CAP)
     assert _outcome(fn, R, cap) == cold
-    assert cold[0] == ("raises" if cap < 8 else "value")
+    if name in LATTICE_BACKED:
+        assert cold[0] == ("raises" if cap < 8 else "value")
+    else:
+        assert cold == ("value", full)
 
 
 def brute_force_right_ideals(R):
@@ -281,19 +307,32 @@ def test_lattice_matches_pairwise_search_on_every_corpus_table(default_corpus):
         assert set(all_right_ideal_masks(R)) == pairwise_lattice(R), R.name
 
 
+def jacobson_by_units_loop(R):
+    """J(R) = {x : 1 - xy is a unit for every y}, one element x at a time."""
+    n = R.order
+    A, M = R.np_add, R.np_mul
+    one_row = A[R.one]
+    ub = bool_from_mask(units_mask(R), n)
+    ok = np.empty(n, dtype=bool)
+    for x in range(n):
+        ok[x] = bool(ub[one_row[R.neg[M[x]]]].all())
+    return mask_from_bool(ok)
+
+
 def lattice_free_delta(R):
     """delta(R) without the right-ideal lattice.  A finite ring is semilocal,
     so Soc(R_R) = {x : x J(R) = 0} (Anderson-Fuller, section 15), and delta(R)
     is the preimage of J(R / Soc(R_R)) (Zhou 2000); both J's come from the
-    unit characterization."""
-    J = array_from_mask(_jacobson_by_units(R), R.order)
+    per-element unit loop."""
+    J = array_from_mask(jacobson_by_units_loop(R), R.order)
     soc = mask_from_bool((R.np_mul[:, J] == R.zero).all(axis=1))
     q = quotient_ring(R, element_set_from_mask(R, soc, "two-sided-ideal"))
-    jq = bool_from_mask(_jacobson_by_units(q.ring), q.ring.order)
+    jq = bool_from_mask(jacobson_by_units_loop(q.ring), q.ring.order)
     return mask_from_bool(jq[list(q.proj)])
 
 
 def test_delta_matches_lattice_free_route(default_corpus):
+    # production J, Soc and delta against the lattice routes and the unit loop
     _, members = default_corpus
     tables = {m.ring.digest: m.ring for m in members}
     for order in range(1, 9):
@@ -301,7 +340,77 @@ def test_delta_matches_lattice_free_route(default_corpus):
             tables.setdefault(R.digest, R)
     assert len(tables) == 149
     for R in tables.values():
-        assert zhou_radical_mask(R) == lattice_free_delta(R), R.name
+        J = jacobson_radical_mask(R)
+        assert J == _jacobson_by_lattice(R, LATTICE_CAP) == jacobson_by_units_loop(R), R.name
+        assert socle_mask(R) == _socle_by_lattice(R, LATTICE_CAP), R.name
+        d = zhou_radical_mask(R)
+        assert d == _zhou_by_essential(R, LATTICE_CAP), R.name
+        assert d == _zhou_by_socle_quotient(R, LATTICE_CAP) == lattice_free_delta(R), R.name
+
+
+@pytest.mark.parametrize("which", ["jacobson_radical_mask", "socle_mask", "zhou_radical_mask"])
+def test_characterizations_compare_production_radicals(zn, monkeypatch, which):
+    R = zn[4]
+    assert radical_characterizations(R)["r1"] == mask_of([0, 2])
+    monkeypatch.setattr(ideals, which, lambda R: R.full_mask())
+    with pytest.raises(CrossCheckMismatch, match="lattice route"):
+        radical_characterizations(R)
+
+
+def test_delta_checked_against_units_mod_socle(zn, monkeypatch):
+    # a wrong J(R/Soc) makes the pullback disagree with the in-R unit test
+    real = ideals.jacobson_radical_mask
+    monkeypatch.setattr(ideals, "jacobson_radical_mask", lambda R: R.full_mask()
+                        if R.meta.get("kind") == "quotient" else real(R))
+    R = zn[8]
+    R.cache.clear()
+    with pytest.raises(CrossCheckMismatch, match="units modulo Soc"):
+        zhou_radical_mask(R)
+    R.cache.clear()
+
+
+def test_lattice_routes_call_no_production_radical(zn, t2z2, k0z2, monkeypatch):
+    # T1 compares the lattice routes with the production radicals, so the
+    # routes must not compute through them
+    rings = [zn[4], zn[6], t2z2, k0z2]
+    want = [radical_characterizations(R) for R in rings]
+    soc = [socle_mask(R) for R in rings]
+
+    def refuse(R):
+        raise AssertionError("production radical called")
+    for name in ("jacobson_radical_mask", "socle_mask", "zhou_radical_mask", "units_mask"):
+        monkeypatch.setattr(ideals, name, refuse)
+    for R, chars, s in zip(rings, want, soc):
+        R.cache.clear()
+        got = {"r1": _zhou_by_essential(R, LATTICE_CAP),
+               "pullback": _zhou_by_socle_quotient(R, LATTICE_CAP),
+               "r3": r3_mask(R), "r5": r5_mask(R), "r2": r2_ideal_mask(R),
+               "r4": r4_ideal_mask(R)}
+        assert got == chars and _socle_by_lattice(R, LATTICE_CAP) == s, R.name
+        R.cache.clear()
+
+
+def test_jacobson_left_form_checked_on_every_call(t2z2, monkeypatch):
+    # with a stand-in unit set, the right form {x : 1 - xy in U for all y}
+    # and the left form {y : 1 - xy in U for all x} can differ; J raises then
+    rng = random.Random(29)
+    R = t2z2
+    outcomes = set()
+    for _ in range(200):
+        U = mask_of(x for x in R.elements() if rng.random() < 0.8)
+        quasi = bool_from_mask(U, R.order)[R.np_add[R.one][R.neg]][R.np_mul]
+        right, left = quasi.all(axis=1), quasi.all(axis=0)
+        monkeypatch.setattr(ideals, "units_mask", lambda _, U=U: U)
+        R.cache.clear()
+        if np.array_equal(right, left):
+            assert jacobson_radical_mask(R) == mask_from_bool(right)
+            outcomes.add("value")
+        else:
+            with pytest.raises(CrossCheckMismatch, match="left unit form"):
+                jacobson_radical_mask(R)
+            outcomes.add("raises")
+    R.cache.clear()
+    assert outcomes == {"value", "raises"}
 
 
 def literal_r4(R):

@@ -5,8 +5,9 @@ Most oracles read the tuple views R.add / R.mul element by element; the
 additive-span oracles are the pairwise-sum fixpoints that `core.additive_span`
 replaced (greedy generators, `additive_span_mask`, the two-sided closure of
 `two_sided_ideal_generated`); the row-major annihilator route of
-delta-reversibility and T9 are checked against the per-element and
-column-gather loops they replaced, fed random subsets in place of delta(R),
+delta-reversibility, T9 and the blocked delta-linear-Armendariz scan are
+checked against the per-element, column-gather and per-zero-pair loops they
+replaced, fed random subsets in place of delta(R),
 and `dumps_ring` against the indenting JSON encoder.  They run
 on every enumerated ring of order <= 8 and on every distinct default-corpus
 table of order <= 256; the tables of order > 64 (M2(Z3)'s corner, L(Z3),
@@ -25,7 +26,7 @@ from ringlab.constructions import (
     corner_ring, enumerate_unital_rings, is_right_ideal_mask, is_two_sided_mask,
     quotient_ring, two_sided_ideal_generated)
 from ringlab.core import (
-    LATTICE_CAP, AxiomViolation, CharacterizationMismatch, array_from_mask,
+    ARMENDARIZ_CAP, LATTICE_CAP, AxiomViolation, CharacterizationMismatch, array_from_mask,
     bool_from_mask, double_commutant_mask, element_set, element_set_from_mask,
     idempotents_mask, mask_elems, mask_from_bool, mask_of, nilpotents_mask, units_mask)
 from ringlab.ideals import (
@@ -33,7 +34,7 @@ from ringlab.ideals import (
     delta_sharp_mask, is_semiprime_ideal, jacobson_radical_mask, socle_mask,
     zhou_radical_mask)
 from ringlab.predicates import (
-    idempotents_lift_mod_delta, is_delta_clean, is_delta_reversible)
+    idempotents_lift_mod_delta, is_delta_clean, is_delta_linear_armendariz, is_delta_reversible)
 from ringlab.suite import Failure, _ideal_products
 
 SMALL = 64   # above this order the per-mask and per-element oracles sample
@@ -225,6 +226,22 @@ def annihilator_route_oracle(R, in_d):
         if not bool(in_d[M[rann, a]].all()):
             return False
     return True
+
+
+def armendariz_oracle(R, in_d):
+    """The per-zero-pair loop of delta-linear-Armendariz: verdict and the
+    first witness (a0, a1, b0, b1)."""
+    A, M = R.np_add, R.np_mul
+    zp = np.argwhere(M == R.zero)
+    za, zb = zp[:, 0], zp[:, 1]
+    for a0, b0 in zp:
+        cross1 = M[a0, zb]
+        cross2 = M[za, b0]
+        bad = (A[cross1, cross2] == R.zero) & (~in_d[cross1] | ~in_d[cross2])
+        if bool(bad.any()):
+            i = int(np.flatnonzero(bad)[0])
+            return False, (int(a0), int(za[i]), int(b0), int(zb[i]))
+    return True, None
 
 
 def ideal_products_oracle(R, d):
@@ -444,6 +461,24 @@ def test_delta_reversible_annihilator_route_matches_loop(rings, monkeypatch):
             assert str(exc.value).endswith("definition={} square-zero={} annihilator={}"
                                            .format(*routes)), (R.name, d)
     assert {(True, True, True), (False, False, False)} < seen
+
+
+@pytest.mark.parametrize("block", [7, predicates._QUAD_BLOCK])
+def test_armendariz_blocks_match_pair_loop(rings, monkeypatch, block):
+    rng = random.Random(31)
+    monkeypatch.setattr(predicates, "_QUAD_BLOCK", block)
+    seen = set()
+    for R in rings:
+        if R.order > ARMENDARIZ_CAP:
+            continue
+        for d in radical_stand_ins(R, rng):
+            monkeypatch.setattr(predicates, "zhou_radical_mask", lambda *_, d=d: d)
+            res = is_delta_linear_armendariz(R)
+            assert plain_ints(res.witness or ())
+            want = armendariz_oracle(R, bool_from_mask(d, R.order))
+            assert (res.verdict, res.witness) == want, (R.name, d)
+            seen.add(want[0])
+    assert seen == {True, False}
 
 
 def test_ideal_products_match_column_loop(rings):

@@ -240,7 +240,7 @@ def main(argv=None) -> int:
     except RinglabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:    # unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

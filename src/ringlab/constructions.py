@@ -302,8 +302,7 @@ def hst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteR
     """
     _require_central_unit(R, s, "s")
     _require_central_unit(R, t, "t")
-    A, M = R.np_add, R.np_mul
-    NEG = np.asarray(R.neg)
+    A, M, NEG = R.np_add, R.np_mul, R.neg
 
     def h_mul(c, d, e):
         a_of = A[d, M[s][c]]              # a = d + s c
@@ -317,9 +316,11 @@ def hst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteR
             raise ClosureViolation(f"H(s,t) product left the family for {R.name}")
         return [c3, d3, e3]
 
+    add, mul_s, mul_t, neg = A.tolist(), M[s].tolist(), M[t].tolist(), NEG.tolist()
+
     def h_label(ci, di, ei):
-        ai = R.add[di][R.mul[s][ci]]
-        fi = R.sub(di, R.mul[t][ei])
+        ai = add[di][mul_s[ci]]
+        fi = add[di][neg[mul_t[ei]]]
         z = R.label(R.zero)
         return (f"[[{R.label(ai)},{z},{z}],[{R.label(ci)},{R.label(di)},{R.label(ei)}],"
                 f"[{z},{z},{R.label(fi)}]]")
@@ -347,10 +348,12 @@ def lst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteR
         yield A[_pair(M, d, e), _pair(M, e, f)]     # t cancels likewise
         yield _pair(M, f, f)
 
+    mul_s, mul_t = M[s].tolist(), M[t].tolist()
+
     def l_label(ai, ci, di, ei, fi):
         z = R.label(R.zero)
-        sc = R.label(R.mul[s][ci])
-        te = R.label(R.mul[t][ei])
+        sc = R.label(mul_s[ci])
+        te = R.label(mul_t[ei])
         return (f"[[{R.label(ai)},{z},{z}],[{sc},{R.label(di)},{te}],"
                 f"[{z},{z},{R.label(fi)}]]")
 
@@ -385,16 +388,17 @@ def ks_ring(R: FiniteRing, s: int, size_cap: int = SIZE_CAP) -> FiniteRing:
 # ---------------------------------------------------------------------------
 # bimodules, formal triangular rings and trivial Morita contexts
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BimoduleSpec:
     """A finite abelian group with a left action by S and a right action by T.
 
-    add is an m x m group table, left is |S| x m, right is m x |T|.
+    add is an m x m group table, left is |S| x m, right is m x |T|: nested
+    lists or integer arrays, so specs compare by identity.
     """
-    add: tuple[tuple[int, ...], ...]
+    add: Sequence[Sequence[int]]
     zero: int
-    left: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
+    left: Sequence[Sequence[int]]
+    right: Sequence[Sequence[int]]
 
     @property
     def size(self) -> int:
@@ -403,7 +407,7 @@ class BimoduleSpec:
 
 def self_bimodule(R: FiniteRing) -> BimoduleSpec:
     """The additive group of R with both actions given by ring multiplication."""
-    return BimoduleSpec(R.add, R.zero, R.mul, R.mul)
+    return BimoduleSpec(R.np_add, R.zero, R.np_mul, R.np_mul)
 
 
 def validate_bimodule(S: FiniteRing, T: FiniteRing, M: BimoduleSpec):
@@ -445,7 +449,7 @@ def formal_triangular(S: FiniteRing, T: FiniteRing,
                       size_cap: int = SIZE_CAP) -> FiniteRing:
     """The formal triangular matrix ring [[S, M],[0, T]]."""
     if M is None:
-        if S.add != T.add or S.mul != T.mul:
+        if S != T:
             raise BimoduleAxiomViolation(
                 "default self-action bimodule needs identical component rings")
         M = self_bimodule(S)
@@ -470,7 +474,7 @@ def trivial_morita(A: FiniteRing, B: FiniteRing,
                    size_cap: int = SIZE_CAP) -> FiniteRing:
     """The trivial Morita context [[A, M],[N, B]] with both context products zero."""
     if M is None or N is None:
-        if A.add != B.add or A.mul != B.mul:
+        if A != B:
             raise BimoduleAxiomViolation(
                 "default self-action bimodules need identical component rings")
         M = M or self_bimodule(A)
@@ -621,7 +625,8 @@ def ring_isomorphic(R: FiniteRing, S: FiniteRing) -> Optional[tuple[int, ...]]:
     if fpR != fpS:
         return None
     n = R.order
-    r_add, r_mul, s_add, s_mul = R.add, R.mul, S.add, S.mul   # locals for the scalar loops
+    # plain lists for the scalar loops: numpy scalars index and hash slower
+    r_add, r_mul, s_add, s_mul = (t.tolist() for t in (R.np_add, R.np_mul, S.np_add, S.np_mul))
     invR = list(map(tuple, rowsR.tolist()))
     ordR = rowsR[:, 0].tolist()
     invS_pool: dict = {}

@@ -2,13 +2,12 @@
 
 Elements are opaque indices 0..n-1; all semantics live in the addition and
 multiplication tables, stored once each as a read-only C-ordered int32 numpy
-array (`np_add`, `np_mul`).  The tuple-of-tuples views `add`/`mul` are built
-lazily on first read, for scalar code on small rings.  Validation is exact
-and happens at construction time, so everything downstream may assume the
-ring axioms hold.  Subsets of a ring are carried around as int bitmasks
-internally (bit i = element i) and as `ElementSet` values at the API surface.
-A table entry is a numpy scalar: convert it with int() before it reaches a
-bitmask shift, a label or JSON.
+array (`np_add`, `np_mul`); scalar code reads `tolist()` copies.
+Validation is exact and happens at construction time, so everything
+downstream may assume the ring axioms hold.  Subsets of a ring are carried
+around as int bitmasks internally (bit i = element i) and as `ElementSet`
+values at the API surface.  A table entry is a numpy scalar: convert it with
+int() before it reaches a bitmask shift, a label or JSON.
 """
 from __future__ import annotations
 
@@ -172,14 +171,14 @@ class FiniteRing:
     """An order-n unital ring given by n*n addition and multiplication tables.
 
     The tables are stored once, as read-only C-ordered int32 arrays `np_add`
-    and `np_mul`; `add`/`mul` are tuple-of-tuples views of them, built on
-    first read and cached.  Instances are immutable after construction and
-    safe to share across threads.  Construct through `validate_ring` (or a
-    constructor in `ringlab.constructions`), which checks every axiom exactly.
+    and `np_mul`; everything derived from them lives in the per-digest
+    `cache`.  Instances are immutable after construction and safe to share
+    across threads.  Construct through `validate_ring` (or a constructor in
+    `ringlab.constructions`), which checks every axiom exactly.
     """
 
     __slots__ = ("name", "order", "zero", "one", "np_add", "np_mul", "labels", "meta",
-                 "_add", "_mul", "_neg", "_digest", "_cache_ref", "__weakref__")
+                 "_digest", "_cache_ref", "__weakref__")
 
     def __init__(self, name: str, zero: int, one: int, add, mul,
                  labels: Optional[Sequence[str]] = None,
@@ -192,9 +191,6 @@ class FiniteRing:
         self.one = operator.index(one)
         self.labels = tuple(labels) if labels is not None else None
         self.meta = dict(meta) if meta else {}
-        self._add = None
-        self._mul = None
-        self._neg = None
         self._digest = None
         self._cache_ref = None
 
@@ -230,39 +226,19 @@ class FiniteRing:
             self._cache_ref = _SHARED_CACHE.setdefault(self.digest, {})
         return self._cache_ref
 
-    # -- tuple views, for scalar code on small rings ---------------------------
-
-    @property
-    def add(self) -> tuple[tuple[int, ...], ...]:
-        if self._add is None:
-            self._add = tuple(map(tuple, self.np_add.tolist()))
-        return self._add
-
-    @property
-    def mul(self) -> tuple[tuple[int, ...], ...]:
-        if self._mul is None:
-            self._mul = tuple(map(tuple, self.np_mul.tolist()))
-        return self._mul
-
     # -- element arithmetic --------------------------------------------------
 
     @property
     def neg(self) -> np.ndarray:
         """neg[a] = -a, as a read-only int array."""
-        if self._neg is None:
+        def compute():
             neg = np.argmax(self.np_add == self.zero, axis=1)
             neg.setflags(write=False)
-            self._neg = neg
-        return self._neg
+            return neg
+        return _cached(self, "neg", compute)
 
     def sub(self, a: int, b: int) -> int:
         return int(self.np_add[a, self.neg[b]])
-
-    def power(self, a: int, k: int) -> int:
-        acc = self.one
-        for _ in range(k):
-            acc = self.np_mul[acc, a]
-        return int(acc)
 
     def elements(self) -> range:
         return range(self.order)

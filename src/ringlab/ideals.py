@@ -207,14 +207,16 @@ def socle(R: FiniteRing) -> ElementSet:
 def zhou_radical_mask(R: FiniteRing) -> int:
     """delta(R) as the preimage of J(R/Soc) (Zhou 2000), checked on every
     call against the same set read in R: x is in delta iff 1 - xy is a unit
-    modulo Soc for every y, with the units of R/Soc pulled back through the
-    projection.  T1 and `radical --all-characterizations` compare it with
-    the lattice routes of `radical_characterizations`."""
+    modulo Soc for every y, where z is a unit modulo Soc iff zy - 1 lies in
+    Soc for some y (one-sided suffices in a finite ring).  The check reads
+    neither R/Soc nor its units.  T1 and `radical --all-characterizations`
+    compare delta with the lattice routes of `radical_characterizations`."""
     def compute():
-        q = quotient_ring(R, socle(R))
-        proj = np.asarray(q.proj)
-        pullback = bool_from_mask(jacobson_radical_mask(q.ring), q.ring.order)[proj]
-        unit_mod_soc = bool_from_mask(units_mask(q.ring), q.ring.order)[proj]
+        soc = socle(R)
+        q = quotient_ring(R, soc)
+        pullback = bool_from_mask(jacobson_radical_mask(q.ring), q.ring.order)[np.asarray(q.proj)]
+        in_soc = bool_from_mask(soc.mask, R.order)
+        unit_mod_soc = in_soc[R.np_add[:, R.neg[R.one]]][R.np_mul].any(axis=1)
         in_r = _quasi_regular(R, unit_mod_soc)[R.np_mul].all(axis=1)
         if not np.array_equal(pullback, in_r):
             raise CrossCheckMismatch(

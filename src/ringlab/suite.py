@@ -143,7 +143,7 @@ def _shape_mask(member: CorpusMember, ctx: SuiteContext) -> Optional[tuple[int, 
         # free digits (c, d, e); the entries a = d + sc, d and f = d - te lie in delta
         B, s, t = meta["bases"][0], meta["s"], meta["t"]
         c, d, e = np.unravel_index(np.arange(R.order), meta["dims"])
-        A, M, neg = B.np_add, B.np_mul, np.asarray(B.neg)
+        A, M, neg = B.np_add, B.np_mul, B.neg
         in_d = bool_from_mask(ctx.delta(B), B.order)
         return mask_from_bool(in_d[A[d, M[s][c]]] & in_d[d] & in_d[A[d, neg[M[t][e]]]]), "eq"
     if "delta_digits" not in meta:

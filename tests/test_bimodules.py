@@ -11,7 +11,7 @@ import pytest
 
 from ringlab.core import AxiomViolation, BimoduleAxiomViolation, FiniteRing, SizeCap, units_mask
 from ringlab.constructions import (
-    BimoduleSpec, direct_product, enumerate_unital_rings, formal_triangular, make_zn,
+    BimoduleSpec, corner_ring, direct_product, enumerate_unital_rings, formal_triangular, make_zn,
     trivial_morita, upper_triangular_ring)
 
 
@@ -29,7 +29,7 @@ def old_validate_bimodule(S, T, M):
     for i in range(m):
         if not np.array_equal(G[G[i]], G[i][G]):
             raise BimoduleAxiomViolation(f"bimodule addition associativity fails at {i}")
-        if M.zero not in set(M.add[i]):
+        if M.zero not in set(G[i].tolist()):
             raise BimoduleAxiomViolation(f"bimodule element {i} has no additive inverse")
     if not np.array_equal(L[S.one], idx):
         raise BimoduleAxiomViolation("left action is not unital")
@@ -43,15 +43,15 @@ def old_validate_bimodule(S, T, M):
             raise BimoduleAxiomViolation(f"left action associativity fails at s={s}")
         # (s+s')m = sm + s'm
         for s2 in range(S.order):
-            if not np.array_equal(L[S.add[s][s2]], G[L[s], L[s2]]):
+            if not np.array_equal(L[S.np_add[s, s2]], G[L[s], L[s2]]):
                 raise BimoduleAxiomViolation(f"left action biadditivity fails at ({s},{s2})")
     for t in range(T.order):
         if not np.array_equal(Rt[G[:, :], t].reshape(m, m), G[np.ix_(Rt[:, t], Rt[:, t])]):
             raise BimoduleAxiomViolation(f"right action of {t} is not additive")
         for t2 in range(T.order):
-            if not np.array_equal(Rt[:, T.mul[t][t2]], Rt[Rt[:, t], t2]):
+            if not np.array_equal(Rt[:, T.np_mul[t, t2]], Rt[Rt[:, t], t2]):
                 raise BimoduleAxiomViolation(f"right action associativity fails at ({t},{t2})")
-            if not np.array_equal(Rt[:, T.add[t][t2]], G[Rt[:, t], Rt[:, t2]]):
+            if not np.array_equal(Rt[:, T.np_add[t, t2]], G[Rt[:, t], Rt[:, t2]]):
                 raise BimoduleAxiomViolation(f"right action biadditivity fails at ({t},{t2})")
     for s in range(S.order):
         for t in range(T.order):
@@ -83,21 +83,21 @@ def _case(name):
     Z2, Z3 = make_zn(2), make_zn(3)
     if name == "sm+1, mt+1":
         # its assembled ring is valid: only the zero check rejects it
-        return Z2, Z2, _spec(Z2.add, 0, [[(s * m + 1) % 2 for m in range(2)] for s in range(2)],
+        return Z2, Z2, _spec(Z2.np_add, 0, [[(s * m + 1) % 2 for m in range(2)] for s in range(2)],
                              [[(m * t + 1) % 2 for t in range(2)] for m in range(2)])
     if name == "non-additive":
         # 2(1 + 1) = 2.2 = 1, but 2.1 + 2.1 = 2
-        return Z3, Z3, _spec(Z3.add, 0, [[0, 0, 0], [0, 1, 2], [0, 1, 1]], Z3.mul)
+        return Z3, Z3, _spec(Z3.np_add, 0, [[0, 0, 0], [0, 1, 2], [0, 1, 1]], Z3.np_mul)
     if name == "non-unital":
-        return Z2, Z2, _spec(Z2.add, 0, [[0, 0], [0, 0]], Z2.mul)
+        return Z2, Z2, _spec(Z2.np_add, 0, [[0, 0], [0, 0]], Z2.np_mul)
     if name == "non-associative":
         # s.m = lambda(s) m for an additive lambda: F4 -> Z2 with lambda(1) = 1;
         # F4 has no ring map onto Z2, so (s s')m = s(s'm) fails
         F4 = next(R for R in enumerate_unital_rings(4) if bin(units_mask(R)).count("1") == 3)
         w = next(x for x in F4.elements() if x not in (F4.zero, F4.one))
-        lam = {F4.zero: 0, F4.one: 1, w: 0, F4.add[F4.one][w]: 1}
-        return F4, Z2, _spec(Z2.add, 0, [[lam[s] * m for m in range(2)] for s in range(4)],
-                             Z2.mul)
+        lam = {F4.zero: 0, F4.one: 1, w: 0, int(F4.np_add[F4.one, w]): 1}
+        return F4, Z2, _spec(Z2.np_add, 0, [[lam[s] * m for m in range(2)] for s in range(4)],
+                             Z2.np_mul)
     if name == "non-commuting":
         # Z2 x Z2 acts on (x1, x2) by diag(a, b) on the left, and through the
         # idempotents P = [[1,1],[0,0]] and I - P on the right
@@ -111,15 +111,15 @@ def _case(name):
         klein = [[index[((u1 + v1) % 2, (u2 + v2) % 2)] for v1, v2 in vecs] for u1, u2 in vecs]
         return P, P, _spec(klein, 0, left, right)
     if name == "wrong shape":
-        return Z2, Z2, _spec(Z2.add, 0, [[0, 0], [0, 1], [0, 1]], Z2.mul)
+        return Z2, Z2, _spec(Z2.np_add, 0, [[0, 0], [0, 1], [0, 1]], Z2.np_mul)
     if name == "ragged table":
-        return Z2, Z2, BimoduleSpec(((0, 1), (1,)), 0, Z2.mul, Z2.mul)
+        return Z2, Z2, BimoduleSpec(((0, 1), (1,)), 0, Z2.np_mul, Z2.np_mul)
     if name == "entry out of range":
-        return Z2, Z2, _spec(Z2.add, 0, [[0, 0], [0, 2]], Z2.mul)
+        return Z2, Z2, _spec(Z2.np_add, 0, [[0, 0], [0, 2]], Z2.np_mul)
     if name == "negative entry":
-        return Z2, Z2, _spec(Z2.add, 0, Z2.mul, [[0, 0], [-1, 1]])
+        return Z2, Z2, _spec(Z2.np_add, 0, Z2.np_mul, [[0, 0], [-1, 1]])
     if name == "zero out of range":
-        return Z2, Z2, _spec(Z2.add, 2, Z2.mul, Z2.mul)
+        return Z2, Z2, _spec(Z2.np_add, 2, Z2.np_mul, Z2.np_mul)
     raise KeyError(name)
 
 
@@ -166,6 +166,24 @@ def test_bimodule_table_failures_are_caught_before_assembly(name, where):
 def test_sm_plus_one_is_rejected_by_the_oracle_too():
     S, T, spec = _case("sm+1, mt+1")
     assert not _accepts(lambda: old_validate_bimodule(S, T, spec))
+
+
+def test_default_bimodule_needs_equal_tables_not_equal_names():
+    Z2 = make_zn(2)
+    corner = corner_ring(Z2, 1).ring
+    assert corner.name != Z2.name
+    for build in (formal_triangular, trivial_morita):
+        assert build(Z2, corner) == build(Z2, Z2)
+        with pytest.raises(BimoduleAxiomViolation):
+            build(make_zn(4), direct_product([Z2, Z2]))
+
+
+def test_bimodule_spec_takes_nested_lists_or_arrays():
+    Z3 = make_zn(3)
+    arrays = BimoduleSpec(Z3.np_add, Z3.zero, Z3.np_mul, Z3.np_mul)
+    lists = BimoduleSpec(Z3.np_add.tolist(), Z3.zero, Z3.np_mul.tolist(), Z3.np_mul.tolist())
+    assert formal_triangular(Z3, Z3, arrays) == formal_triangular(Z3, Z3, lists)
+    assert trivial_morita(Z3, Z3, arrays, arrays) == trivial_morita(Z3, Z3, lists, lists)
 
 
 def test_oversized_context_raises_size_cap_before_bimodule_laws():

@@ -88,6 +88,18 @@ def test_non_string_ring_name_exit_2(tmp_path, capsys, name):
     assert err.startswith("error:") and "name must be a string" in err
 
 
+@pytest.mark.parametrize("argv", [("radical", 'File("{d}")'),
+                                  ("suite", "--corpus", "@{d}"),
+                                  ("suite", "--corpus", "@{d}/latin1.txt"),
+                                  ("construct", "Zn(2)", "--out", "{d}")])
+def test_unreadable_path_exit_2(tmp_path, capsys, argv):
+    # a directory where a file is read or written, or a corpus file not in UTF-8
+    (tmp_path / "latin1.txt").write_bytes("Zn(4); Zn(\xe9)".encode("latin-1"))
+    code, out, err = run_cli(*(a.format(d=tmp_path) for a in argv), capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_radical_delta_z4(capsys):
     code, out, _ = run_cli("radical", "Zn(4)", "--which", "delta", capsys=capsys)
     assert code == 0

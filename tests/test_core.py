@@ -254,11 +254,12 @@ def test_neg_and_sub(zn):
 
 def test_distributivity_reassertable_post_hoc(zn, t2z2):
     for R in (zn[6], t2z2):
+        add, mul = R.np_add.tolist(), R.np_mul.tolist()
         for a in R.elements():
             for b in R.elements():
                 for c in R.elements():
-                    assert R.mul[a][R.add[b][c]] == R.add[R.mul[a][b]][R.mul[a][c]]
-                    assert R.mul[R.add[b][c]][a] == R.add[R.mul[b][a]][R.mul[c][a]]
+                    assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+                    assert mul[add[b][c]][a] == add[mul[b][a]][mul[c][a]]
 
 
 def test_units_form_group(m2z2):
@@ -266,7 +267,7 @@ def test_units_form_group(m2z2):
     for u in mask_elems(um):
         assert (um >> unit_inverse(m2z2, u)) & 1
         for v in mask_elems(um):
-            assert (um >> m2z2.mul[u][v]) & 1
+            assert (um >> int(m2z2.np_mul[u, v])) & 1
 
 
 def test_clear_shared_cache_empties_dicts_in_place(monkeypatch):
@@ -347,7 +348,7 @@ def tamperings():
     out = []
     for k in range(single + symmetric):
         R = rng.choice(bases)
-        add, mul = [list(r) for r in R.add], [list(r) for r in R.mul]
+        add, mul = R.np_add.tolist(), R.np_mul.tolist()
         i, j, v = rng.randrange(R.order), rng.randrange(R.order), rng.randrange(R.order)
         if k < single:
             rng.choice((add, mul))[i][j] = v
@@ -392,13 +393,14 @@ def test_additive_generators_generate(default_corpus):
     for R in rings:
         S = core.additive_span(core._small_tables(R)[0], R.zero, np.arange(R.order))[0].tolist()
         assert 1 << len(S) <= R.order
+        add = R.np_add.tolist()
         span, frontier = {R.zero}, [R.zero]
         while frontier:
             x = frontier.pop()
             for g in S:
-                if R.add[x][g] not in span:
-                    span.add(R.add[x][g])
-                    frontier.append(R.add[x][g])
+                if add[x][g] not in span:
+                    span.add(add[x][g])
+                    frontier.append(add[x][g])
         assert len(span) == R.order, R.name
 
 

@@ -3,9 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from ringlab import ideals
+from ringlab import core, ideals
 from ringlab.core import (
-    LATTICE_CAP, CrossCheckMismatch, DimensionMismatch, LatticeCap, array_from_mask,
+    LATTICE_CAP, CrossCheckMismatch, DimensionMismatch, FiniteRing, LatticeCap, array_from_mask,
     bool_from_mask, element_set, element_set_from_mask, mask_elems, mask_from_bool, mask_of,
     units_mask)
 from ringlab.constructions import (
@@ -50,7 +50,8 @@ def test_all_right_ideals_z2xz2(zn):
 
 def set_sum(R, a, b):
     """The set {i + j} for subsets given as masks (I + J for subgroups)."""
-    return mask_of({R.add[i][j] for i in mask_elems(a) for j in mask_elems(b)})
+    add = R.np_add.tolist()
+    return mask_of({add[i][j] for i in mask_elems(a) for j in mask_elems(b)})
 
 
 def test_ideal_lattice_closed_under_sums(t2z2):
@@ -133,7 +134,7 @@ def test_delta_sharp_separates_on_m2z4(m2z4):
     d = zhou_radical_mask(m2z4)
     ds = delta_sharp_mask(m2z4)
     e12 = 1 * 4 ** 2  # entries (0,1,0,0)
-    assert m2z4.mul[e12][e12] == m2z4.zero
+    assert m2z4.np_mul[e12, e12] == m2z4.zero
     assert not (d >> e12) & 1
     assert (ds >> e12) & 1
     assert ds & ~d
@@ -256,12 +257,13 @@ def brute_force_right_ideals(R):
     n = R.order
     subsets = np.arange(1 << n, dtype=np.int64)
     member = [(subsets >> x) & 1 == 1 for x in range(n)]
+    add, mul = R.np_add.tolist(), R.np_mul.tolist()
     ok = member[R.zero].copy()
     for a in range(n):
-        row = sum(1 << y for y in set(R.mul[a]))
+        row = sum(1 << y for y in set(mul[a]))
         ok &= ~member[a] | (subsets & row == row)
         for b in range(a, n):
-            ok &= ~(member[a] & member[b]) | member[R.add[a][b]]
+            ok &= ~(member[a] & member[b]) | member[add[a][b]]
     return {int(m) for m in subsets[ok]}
 
 
@@ -282,7 +284,7 @@ def pairwise_lattice(R):
     depends only on their union, which keys the cache of sums."""
     n = R.order
     zero_bit = 1 << R.zero
-    cyclics = sorted({mask_of(set(row)) for row in R.mul})
+    cyclics = sorted({mask_of(set(row)) for row in R.np_mul.tolist()})
     ideals, frontier, sums = {zero_bit}, [zero_bit], {}
     while frontier:
         I = frontier.pop()
@@ -411,6 +413,33 @@ def test_jacobson_left_form_checked_on_every_call(t2z2, monkeypatch):
             outcomes.add("raises")
     R.cache.clear()
     assert outcomes == {"value", "raises"}
+
+
+def test_delta_check_does_not_read_the_quotient_units(default_corpus, monkeypatch):
+    # a fault in the units of R/Soc reaches the pullback of J(R/Soc) but not
+    # the check read in R, so delta either raises or stays right
+    _, members = default_corpus
+    tables = {m.ring.digest: m.ring for m in members}
+    want = {d: zhou_radical_mask(R) for d, R in tables.items()}
+
+    def faulty_units(R):
+        m = units_mask(R)
+        if R.meta.get("kind") == "quotient":
+            m &= ~(1 << (m.bit_length() - 1))      # drop the largest unit
+        return m
+
+    monkeypatch.setattr(ideals, "units_mask", faulty_units)
+    raised = 0
+    for d, R in tables.items():
+        monkeypatch.setattr(core, "_SHARED_CACHE", {})
+        fresh = FiniteRing(R.name, R.zero, R.one, R.np_add, R.np_mul, R.labels, R.meta)
+        try:
+            got = zhou_radical_mask(fresh)
+        except CrossCheckMismatch:
+            raised += 1
+            continue
+        assert got == want[d], R.name
+    assert raised > 0
 
 
 def literal_r4(R):

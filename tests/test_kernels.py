@@ -1,7 +1,8 @@
 """Differential tests: the vectorized table kernels against the scalar loops
 they replaced, kept here as oracles.
 
-Most oracles read the tuple views R.add / R.mul element by element; the
+Most oracles read the tables element by element, as nested lists (`tables`:
+a table entry read as a numpy scalar must not reach a bitmask shift); the
 additive-span oracles are the pairwise-sum fixpoints that `core.additive_span`
 replaced (greedy generators, `additive_span_mask`, the two-sided closure of
 `two_sided_ideal_generated`); the row-major annihilator route of
@@ -14,6 +15,7 @@ table of order <= 256; the tables of order > 64 (M2(Z3)'s corner, L(Z3),
 K0(Z4), M2(Z4), Morita(Z3,Z3)) have masks past bit 63, where a table entry
 left as a numpy scalar in a shift would give a wrong mask or raise.
 """
+import functools
 import json
 import random
 from types import SimpleNamespace
@@ -54,27 +56,37 @@ def rings(default_corpus):
 # ---------------------------------------------------------------------------
 # scalar oracles
 
+@functools.cache
+def tables(R):
+    """R's addition and multiplication tables as lists of lists of ints."""
+    return R.np_add.tolist(), R.np_mul.tolist()
+
+
 def neg_oracle(R):
-    return tuple(row.index(R.zero) for row in R.add)
+    add, _ = tables(R)
+    return tuple(row.index(R.zero) for row in add)
 
 
 def units_oracle(R):
+    _, mul = tables(R)
     m = 0
     for u in R.elements():
-        row = R.mul[u]
+        row = mul[u]
         for v in R.elements():
-            if row[v] == R.one and R.mul[v][u] == R.one:
+            if row[v] == R.one and mul[v][u] == R.one:
                 m |= 1 << u
                 break
     return m
 
 
 def idempotents_oracle(R):
-    return mask_of(x for x in R.elements() if R.mul[x][x] == x)
+    _, mul = tables(R)
+    return mask_of(x for x in R.elements() if mul[x][x] == x)
 
 
 def powers_reach(R, target_mask):
     """{x : some power x^k, 1 <= k <= n, lies in the target mask}."""
+    _, mul = tables(R)
     out = 0
     for x in R.elements():
         p = x
@@ -82,16 +94,17 @@ def powers_reach(R, target_mask):
             if (target_mask >> p) & 1:
                 out |= 1 << x
                 break
-            p = R.mul[p][x]
+            p = mul[p][x]
     return out
 
 
 def cyclic_oracle(R):
-    return tuple(mask_of(row) for row in R.mul)
+    _, mul = tables(R)
+    return tuple(mask_of(row) for row in mul)
 
 
 def double_commutant_oracle(R, a):
-    M = np.asarray(R.mul)
+    M = R.np_mul
     comm = np.flatnonzero(M[:, a] == M[a, :])
     idx = np.arange(R.order)
     eq = M[np.ix_(idx, comm)] == M[np.ix_(comm, idx)].T
@@ -101,6 +114,7 @@ def double_commutant_oracle(R, a):
 def closure_oracle(R, neg, m, two_sided):
     """First broken closure law and witness, in the report order of the
     scalar element-set check."""
+    add, mul = tables(R)
     if not (m >> R.zero) & 1:
         return "contains zero", (R.zero,)
     elems = mask_elems(m)
@@ -108,29 +122,31 @@ def closure_oracle(R, neg, m, two_sided):
         if not (m >> neg[a]) & 1:
             return "negation closure", (a,)
         for b in elems:
-            if not (m >> R.add[a][b]) & 1:
+            if not (m >> add[a][b]) & 1:
                 return "addition closure", (a, b)
         for r in R.elements():
-            if not (m >> R.mul[a][r]) & 1:
+            if not (m >> mul[a][r]) & 1:
                 return "right multiplication closure", (a, r)
     if two_sided:
         for a in elems:
             for r in R.elements():
-                if not (m >> R.mul[r][a]) & 1:
+                if not (m >> mul[r][a]) & 1:
                     return "left multiplication closure", (r, a)
     return None
 
 
 def corner_oracle(R, e):
-    row_e = R.mul[e]
-    elems = sorted({R.mul[row_e[x]][e] for x in R.elements()})
+    add_r, mul_r = tables(R)
+    row_e = mul_r[e]
+    elems = sorted({mul_r[row_e[x]][e] for x in R.elements()})
     index = {p: i for i, p in enumerate(elems)}
-    add = tuple(tuple(index[R.add[a][b]] for b in elems) for a in elems)
-    mul = tuple(tuple(index[R.mul[a][b]] for b in elems) for a in elems)
+    add = [[index[add_r[a][b]] for b in elems] for a in elems]
+    mul = [[index[mul_r[a][b]] for b in elems] for a in elems]
     return tuple(elems), add, mul, index[R.zero], index[e]
 
 
 def quotient_oracle(R, ideal):
+    add_r, mul_r = tables(R)
     proj = [-1] * R.order
     reps = []
     for x in R.elements():
@@ -139,37 +155,41 @@ def quotient_oracle(R, ideal):
         c = len(reps)
         reps.append(x)
         for i in ideal:
-            proj[R.add[x][i]] = c
-    add = tuple(tuple(proj[R.add[a][b]] for b in reps) for a in reps)
-    mul = tuple(tuple(proj[R.mul[a][b]] for b in reps) for a in reps)
+            proj[add_r[x][i]] = c
+    add = [[proj[add_r[a][b]] for b in reps] for a in reps]
+    mul = [[proj[mul_r[a][b]] for b in reps] for a in reps]
     return tuple(proj), add, mul, proj[R.zero], proj[R.one]
 
 
 def bound_oracle(R, m):
+    _, mul = tables(R)
     return mask_of(r for r in mask_elems(m)
-                   if all((m >> R.mul[s][r]) & 1 for s in R.elements()))
+                   if all((m >> mul[s][r]) & 1 for s in R.elements()))
 
 
 def semiprime_oracle(R, m):
+    _, mul = tables(R)
     for a in R.elements():
         if (m >> a) & 1:
             continue
-        if all((m >> R.mul[R.mul[a][r]][a]) & 1 for r in R.elements()):
+        if all((m >> mul[mul[a][r]][a]) & 1 for r in R.elements()):
             return False
     return True
 
 
 def delta_clean_witness(R, d, neg):
+    add, _ = tables(R)
     idem = mask_elems(idempotents_oracle(R))
     return next(((x,) for x in R.elements()
-                 if not any((d >> R.add[x][neg[e]]) & 1 for e in idem)), None)
+                 if not any((d >> add[x][neg[e]]) & 1 for e in idem)), None)
 
 
 def lift_witness(R, d, neg):
+    add, mul = tables(R)
     idem = mask_elems(idempotents_oracle(R))
     for f in R.elements():
-        ff = R.mul[f][f]
-        if (d >> R.add[ff][neg[f]]) & 1 and not any((d >> R.add[e][neg[f]]) & 1 for e in idem):
+        ff = mul[f][f]
+        if (d >> add[ff][neg[f]]) & 1 and not any((d >> add[e][neg[f]]) & 1 for e in idem):
             return (f,)
     return None
 
@@ -377,7 +397,7 @@ def test_corner_tables_match_dict_lookup(rings):
             embed, add, mul, zero, one = corner_oracle(R, e)
             c = corner_ring(R, e)
             assert c.embed == embed and plain_ints(c.embed), (R.name, e)
-            assert (c.ring.add, c.ring.mul) == (add, mul), (R.name, e)
+            assert (c.ring.np_add.tolist(), c.ring.np_mul.tolist()) == (add, mul), (R.name, e)
             assert (c.ring.zero, c.ring.one) == (zero, one) and plain_ints((zero, one))
             assert c.ring.meta["embed"] == list(embed)
 
@@ -389,7 +409,7 @@ def test_quotient_tables_match_coset_walk(rings):
             proj, add, mul, zero, one = quotient_oracle(R, mask_elems(m))
             q = quotient_ring(R, element_set_from_mask(R, m, "two-sided-ideal"))
             assert q.proj == proj and plain_ints(q.proj), (R.name, m)
-            assert (q.ring.add, q.ring.mul) == (add, mul), (R.name, m)
+            assert (q.ring.np_add.tolist(), q.ring.np_mul.tolist()) == (add, mul), (R.name, m)
             assert (q.ring.zero, q.ring.one) == (zero, one)
             assert plain_ints((q.ring.zero, q.ring.one)) and q.ring.meta["proj"] == list(proj)
 
@@ -420,8 +440,9 @@ def test_span_kernels_match_fixpoint_oracles(rings):
             gens, reached = core.additive_span(R.np_add, R.zero, cand)
             assert (gens.tolist(), mask_from_bool(reached)) == greedy_span_oracle(R, cand.tolist())
             assert additive_span_mask(R, m) == span_fixpoint_oracle(R, m), (R.name, m)
+        add, _ = tables(R)
         for m in sample(rng, all_right_ideal_masks(R), 2):
-            least = [min(R.add[x][i] for i in mask_elems(m)) for x in R.elements()]
+            least = [min(add[x][i] for i in mask_elems(m)) for x in R.elements()]
             assert core.coset_labels(R, m).tolist() == least, (R.name, m)
         for gens in ([], [rng.randrange(R.order)], sample(rng, R.elements(), 2)):
             got = two_sided_ideal_generated(R, gens)

@@ -1,8 +1,12 @@
 """Command-line front end: construct rings, compute radicals, evaluate
 predicates, run the theorem suite, hunt counterexamples, enumerate small rings.
 
+Each subcommand accepts exactly the options its cmd_* reads (`_COMMANDS`),
+plus `suite --jobs`, kept for old scripts and ignored.
+
 Exit codes: 0 pass / nothing found where nothing was required, 1 assertion
-failure or counterexample found, 2 usage error.
+failure or counterexample found, 2 usage error: an unknown option, a ring
+expression that does not parse, or any other RinglabError.
 """
 from __future__ import annotations
 
@@ -168,6 +172,47 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+# Every option once, by dest: its flags and add_argument keywords.
+_OPTIONS = {
+    "ring": (("ring",), dict(help="ring expression, e.g. 'M(2,Zn(3))' or 'File(\"r.json\")'")),
+    "out": (("--out",), dict(help="output path (default stdout)")),
+    "format": (("--format",), dict(choices=("json", "markdown"), default="json")),
+    "verbose": (("-v", "--verbose"), dict(action="store_true")),
+    "corpus": (("--corpus",), dict(help="corpus preset, expression list, or @file "
+                                        "(default: $RINGLAB_CORPUS, else 'default')")),
+    "jobs": (("--jobs",), dict(type=int, default=1, help="accepted for compatibility and "
+                                                         "ignored: the suite runs in one thread")),
+    "which": (("--which",), dict(help="comma list from: " + ", ".join(RADICALS))),
+    "all_characterizations": (("--all-characterizations",), dict(action="store_true")),
+    "props": (("--props",), dict(help="comma list of predicate names")),
+    "implies": (("--implies",), dict(required=True, help='"antecedent => consequent"')),
+    "all": (("--all",), dict(action="store_true", help="collect all counterexamples")),
+    "order": (("--order",), dict(type=int, required=True)),
+    "up_to_iso": (("--up-to-iso",), dict(action="store_true")),
+    "size_cap": (("--size-cap",), dict(type=int, default=SIZE_CAP)),
+    "lattice_cap": (("--lattice-cap",), dict(type=int, default=LATTICE_CAP)),
+    "quantifier_cap": (("--quantifier-cap",), dict(type=int, default=QUANTIFIER_CAP)),
+    "armendariz_cap": (("--armendariz-cap",), dict(type=int, default=ARMENDARIZ_CAP)),
+}
+
+# Each subcommand: its function, its help, and exactly the options the function reads.
+_COMMANDS = {
+    "construct": (cmd_construct, "build a ring and write its JSON", "ring out size_cap"),
+    "radical": (cmd_radical, "compute radicals of a ring",
+                "ring out format which all_characterizations size_cap lattice_cap "
+                "quantifier_cap"),
+    "check": (cmd_check, "evaluate predicates on a ring",
+              "ring out format props size_cap lattice_cap armendariz_cap"),
+    "suite": (cmd_suite, "run the theorem suite over a corpus",
+              "out format verbose corpus jobs size_cap lattice_cap quantifier_cap "
+              "armendariz_cap"),
+    "hunt": (cmd_hunt, "hunt for a counterexample to an implication",
+             "implies corpus all out size_cap lattice_cap armendariz_cap"),
+    "enumerate": (cmd_enumerate, "enumerate unital rings of a given order",
+                  "order up_to_iso out"),
+}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
@@ -175,58 +220,12 @@ def _parser() -> argparse.ArgumentParser:
                                 description="finite-ring radical and reversibility calculator")
     p.add_argument("--version", action="version", version=f"ringlab {TOOL_VERSION}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, ring_arg=True):
-        if ring_arg:
-            sp.add_argument("ring", help="ring expression, e.g. 'M(2,Zn(3))' or 'File(\"r.json\")'")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("json", "markdown"), default="json")
-        sp.add_argument("-v", "--verbose", action="store_true")
-        sp.add_argument("--lattice-cap", type=int, default=LATTICE_CAP, dest="lattice_cap")
-        sp.add_argument("--size-cap", type=int, default=SIZE_CAP, dest="size_cap")
-        sp.add_argument("--armendariz-cap", type=int, default=ARMENDARIZ_CAP,
-                        dest="armendariz_cap")
-        sp.add_argument("--quantifier-cap", type=int, default=QUANTIFIER_CAP,
-                        dest="quantifier_cap")
-
-    sp = sub.add_parser("construct", help="build a ring and write its JSON")
-    common(sp)
-    sp.set_defaults(fn=cmd_construct)
-
-    sp = sub.add_parser("radical", help="compute radicals of a ring")
-    common(sp)
-    sp.add_argument("--which", default=None,
-                    help="comma list from: " + ", ".join(RADICALS))
-    sp.add_argument("--all-characterizations", action="store_true",
-                    dest="all_characterizations")
-    sp.set_defaults(fn=cmd_radical)
-
-    sp = sub.add_parser("check", help="evaluate predicates on a ring")
-    common(sp)
-    sp.add_argument("--props", default=None, help="comma list of predicate names")
-    sp.set_defaults(fn=cmd_check)
-
-    sp = sub.add_parser("suite", help="run the theorem suite over a corpus")
-    common(sp, ring_arg=False)
-    sp.add_argument("--corpus", default=None,
-                    help="corpus preset, expression list, or @file "
-                         "(default: $RINGLAB_CORPUS, else 'default')")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility and ignored: the suite runs in one thread")
-    sp.set_defaults(fn=cmd_suite)
-
-    sp = sub.add_parser("hunt", help="hunt for a counterexample to an implication")
-    common(sp, ring_arg=False)
-    sp.add_argument("--implies", required=True, help='"antecedent => consequent"')
-    sp.add_argument("--corpus", default=None, help="as for suite")
-    sp.add_argument("--all", action="store_true", help="collect all counterexamples")
-    sp.set_defaults(fn=cmd_hunt)
-
-    sp = sub.add_parser("enumerate", help="enumerate unital rings of a given order")
-    common(sp, ring_arg=False)
-    sp.add_argument("--order", type=int, required=True)
-    sp.add_argument("--up-to-iso", action="store_true", dest="up_to_iso")
-    sp.set_defaults(fn=cmd_enumerate)
+    for name, (fn, help_text, dests) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for dest in dests.split():
+            flags, kwargs = _OPTIONS[dest]
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(fn=fn)
     return p
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -24,8 +25,8 @@ import numpy as np
 from .core import (
     SIZE_CAP, AxiomViolation, BimoduleAxiomViolation, ClosureViolation,
     DimensionMismatch, ElementSet, FiniteRing, NotCentral, NotCentralUnit, NotIdempotent,
-    NotTwoSidedIdeal, ParseError, SizeCap, _cached, additive_span, bool_from_mask,
-    check_ring_axioms, coset_labels, element_indices, element_set_from_mask,
+    NotTwoSidedIdeal, ParseError, SizeCap, _cached, _check_table, _is_int, additive_span,
+    bool_from_mask, check_ring_axioms, coset_labels, element_indices, element_set_from_mask,
     ideal_failure, is_central, loads_ring, mask_from_bool, nilpotents_mask,
     idempotents_mask, units_mask,
 )
@@ -325,9 +326,11 @@ def hst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteR
         return (f"[[{R.label(ai)},{z},{z}],[{R.label(ci)},{R.label(di)},{R.label(ei)}],"
                 f"[{z},{z},{R.label(fi)}]]")
 
+    # d in delta: a = d + sc in delta iff c is, f = d - te iff e is (s, t units; delta an ideal)
     return _slot_ring(f"H({s},{t})({R.name})", [(A, R.zero)] * 3, h_mul,
                       [R.zero, R.one, R.zero], h_label,
-                      {"kind": "hst", "s": s, "t": t, "bases": (R,)}, size_cap)
+                      {"kind": "hst", "s": s, "t": t, "bases": (R,),
+                       "delta_digits": (0, 0, 0), "delta_relation": "eq"}, size_cap)
 
 
 def lst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteRing:
@@ -412,8 +415,9 @@ def self_bimodule(R: FiniteRing) -> BimoduleSpec:
 
 def validate_bimodule(S: FiniteRing, T: FiniteRing, M: BimoduleSpec):
     """The bimodule checks an assembled ring cannot make: the table shapes,
-    every entry and `zero` in 0..m-1, and s0 = 0 = 0t.  Returns the
-    addition, left and right tables as int64 arrays.
+    every entry and `zero` a plain int in 0..m-1 (`core._check_table`, as
+    for ring tables), and s0 = 0 = 0t.  Returns the addition, left
+    and right tables as int64 arrays.
 
     Given these, every bimodule law is a ring law on elements with one
     nonzero slot (sm is [s,0;0,0][0,m;0,0]), so the exact validation of the
@@ -422,13 +426,15 @@ def validate_bimodule(S: FiniteRing, T: FiniteRing, M: BimoduleSpec):
     """
     m = M.size
     try:
-        G, L, Rt = (np.array(x, dtype=np.int64) for x in (M.add, M.left, M.right))
-    except (TypeError, ValueError) as exc:      # ragged rows or non-integer entries
-        raise BimoduleAxiomViolation(f"bimodule tables are not integer tables: {exc}") from exc
-    if G.shape != (m, m) or L.shape != (S.order, m) or Rt.shape != (m, T.order):
-        raise BimoduleAxiomViolation("bimodule table dimensions do not match the rings")
-    if not 0 <= M.zero < m or any(x.min() < 0 or x.max() >= m for x in (G, L, Rt)):
-        raise BimoduleAxiomViolation(f"bimodule zero or table entry outside 0..{m - 1}")
+        for rows, shape, tname in ((M.add, (m, m), "bimodule add"),
+                                   (M.left, (S.order, m), "left action"),
+                                   (M.right, (m, T.order), "right action")):
+            _check_table(rows, shape, m, tname)
+    except DimensionMismatch as exc:
+        raise BimoduleAxiomViolation(str(exc)) from exc
+    if not (_is_int(M.zero) and 0 <= M.zero < m):
+        raise BimoduleAxiomViolation(f"bimodule zero {M.zero!r} is not an index in 0..{m - 1}")
+    G, L, Rt = (np.array(x, dtype=np.int64) for x in (M.add, M.left, M.right))
     if (L[:, M.zero] != M.zero).any() or (Rt[M.zero] != M.zero).any():
         raise BimoduleAxiomViolation("an action does not send the bimodule zero to zero")
     return G, L, Rt
@@ -696,42 +702,24 @@ def ring_isomorphic(R: FiniteRing, S: FiniteRing) -> Optional[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # RingExpr concrete grammar
 
-_TOKEN_CHARS = set("(),=[]")
+# After optional whitespace: ASCII integer | name | quoted string | punctuation | stray character
+_TOKEN = re.compile(r"""\s*(?:(-?[0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|("[^"]*"|'[^']*')"""
+                    r"""|([(),=\[\]])|(\S))""")
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list[tuple]:
+    """(kind, value, position) triples, strings unquoted, then ("end", "", len(text))."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_CHARS:
-            tokens.append((ch, i))
-            i += 1
-        elif ch == '"' or ch == "'":
-            j = text.find(ch, i + 1)
-            if j < 0:
-                raise ParseError("unterminated string", i)
-            tokens.append(("STR:" + text[i + 1:j], i))
-            i = j + 1
-        elif ch.isdigit() or (ch == "-" and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("INT:" + text[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("NAME:" + text[i:j], i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("EOF", len(text)))
-    return tokens
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        value, at = m.group(group), m.start(group)
+        if group == 5:
+            raise ParseError("unterminated string" if value in "'\""
+                             else f"unexpected character {value!r}", at)
+        kind = ("integer", "name", "string", value)[group - 1]
+        value = int(value) if group == 1 else value[1:-1] if group == 3 else value
+        tokens.append((kind, value, at))
+    return tokens + [("end", "", len(text))]
 
 
 @dataclass
@@ -750,76 +738,45 @@ class RingExpr:
 
 
 def parse_ring_expr(text: str) -> RingExpr:
-    tokens = _tokenize(text)
-    pos = [0]
+    """expr := name "(" [item {"," item}] ")";  item := name "=" value | expr |
+    integer | string;  value := integer | "[" [integer {"," integer}] "]"."""
+    tokens, i = _tokenize(text), 0
 
-    def peek():
-        return tokens[pos[0]]
+    def take(*kinds):
+        nonlocal i
+        kind, value, at = tokens[i]
+        if kinds and kind not in kinds:
+            raise ParseError(f"expected {' or '.join(kinds)}", at)
+        i += 1
+        return value
 
-    def take(expect: Optional[str] = None):
-        tok, at = tokens[pos[0]]
-        if expect is not None and tok != expect:
-            raise ParseError(f"expected {expect!r}, found {tok!r}", at)
-        pos[0] += 1
-        return tok, at
+    def listed(item, brackets: str) -> list:
+        take(brackets[0])
+        out = [] if tokens[i][0] == brackets[1] else [item()]
+        while tokens[i][0] == ",":
+            take(",")
+            out.append(item())
+        take(brackets[1])
+        return out
 
-    def parse_value(at: int):
-        tok, vat = take()
-        if tok.startswith("INT:"):
-            return int(tok[4:])
-        if tok == "[":
-            vals = []
-            if peek()[0] != "]":
-                while True:
-                    t2, a2 = take()
-                    if not t2.startswith("INT:"):
-                        raise ParseError("expected integer in list", a2)
-                    vals.append(int(t2[4:]))
-                    if peek()[0] == ",":
-                        take(",")
-                    else:
-                        break
-            take("]")
-            return vals
-        raise ParseError("expected integer or [list]", vat)
+    def item():
+        if tokens[i][0] == "name" and tokens[i + 1][0] == "=":
+            key = take()
+            take("=")
+            return key, (listed(lambda: take("integer"), "[]") if tokens[i][0] == "["
+                         else take("integer"))
+        return None, (expr() if tokens[i][0] == "name" else take("integer", "string"))
 
-    def parse_expr() -> RingExpr:
-        tok, at = take()
-        if not tok.startswith("NAME:"):
-            raise ParseError("expected a constructor name", at)
-        head = tok[5:]
-        take("(")
-        args: list = []
-        kwargs: dict = {}
-        if peek()[0] != ")":
-            while True:
-                t, a = peek()
-                if t.startswith("NAME:") and tokens[pos[0] + 1][0] == "=":
-                    take()
-                    take("=")
-                    kwargs[t[5:]] = parse_value(a)
-                elif t.startswith("NAME:"):
-                    args.append(parse_expr())
-                elif t.startswith("INT:"):
-                    take()
-                    args.append(int(t[4:]))
-                elif t.startswith("STR:"):
-                    take()
-                    args.append(t[4:])
-                else:
-                    raise ParseError(f"unexpected token {t!r}", a)
-                if peek()[0] == ",":
-                    take(",")
-                else:
-                    break
-        take(")")
-        return RingExpr(head, args, kwargs, at)
+    def expr() -> RingExpr:
+        at = tokens[i][2]
+        head = take("name")
+        items = listed(item, "()")
+        return RingExpr(head, [v for k, v in items if k is None],
+                        {k: v for k, v in items if k is not None}, at)
 
-    expr = parse_expr()
-    tok, at = peek()
-    if tok != "EOF":
-        raise ParseError(f"trailing input {tok!r}", at)
-    return expr
+    tree = expr()
+    take("end")
+    return tree
 
 
 def build_ring_expr(expr: RingExpr, size_cap: int = SIZE_CAP) -> FiniteRing:

@@ -237,9 +237,6 @@ class FiniteRing:
             return neg
         return _cached(self, "neg", compute)
 
-    def sub(self, a: int, b: int) -> int:
-        return int(self.np_add[a, self.neg[b]])
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -530,23 +527,27 @@ def _is_int(v) -> bool:
     return type(v) is int
 
 
-def _check_table(rows, n: int, tname: str) -> None:
-    """DimensionMismatch unless rows is n rows of n plain ints in 0..n-1."""
+def _check_table(rows, shape: tuple[int, int], bound: int, tname: str) -> None:
+    """DimensionMismatch unless rows is shape[0] rows of shape[1] plain ints
+    in 0..bound-1 (an integer array passes; float or bool entries do not)."""
     if isinstance(rows, np.ndarray):
-        rows = rows.tolist()       # int arrays pass; float or bool entries do not
+        rows = rows.tolist()
+    if len(rows) != shape[0]:
+        raise DimensionMismatch(f"{tname} has {len(rows)} rows, expected {shape[0]}")
     for i, row in enumerate(rows):
-        if not isinstance(row, (list, tuple)) or len(row) != n:
+        if not isinstance(row, (list, tuple)) or len(row) != shape[1]:
             length = len(row) if isinstance(row, (list, tuple)) else type(row).__name__
-            raise DimensionMismatch(f"{tname} row {i} has length {length}, expected {n}")
+            raise DimensionMismatch(f"{tname} row {i} has length {length}, expected {shape[1]}")
     cells = itertools.chain.from_iterable
     if not (set(map(type, cells(rows))) <= {int}
-            and min(cells(rows)) >= 0 and max(cells(rows)) < n):
+            and min(cells(rows), default=0) >= 0 and max(cells(rows), default=0) < bound):
         for i, row in enumerate(rows):
             for v in row:
                 if not _is_int(v):
                     raise DimensionMismatch(f"{tname}[{i}] entry {v!r} is not an integer")
-                if not 0 <= v < n:
-                    raise DimensionMismatch(f"{tname}[{i}] entry {v} out of range 0..{n - 1}")
+                if not 0 <= v < bound:
+                    raise DimensionMismatch(
+                        f"{tname}[{i}] entry {v} out of range 0..{bound - 1}")
 
 
 def validate_ring(name: str, zero: int, one: int,
@@ -564,7 +565,7 @@ def validate_ring(name: str, zero: int, one: int,
     if n == 0 or len(mul) != n:
         raise DimensionMismatch(f"need two n x n tables, got add:{len(add)} mul:{len(mul)}")
     for t, tname in ((add, "add"), (mul, "mul")):
-        _check_table(t, n, tname)
+        _check_table(t, (n, n), n, tname)
     if not (_is_int(zero) and _is_int(one)):
         raise DimensionMismatch(f"zero/one must be integers, got {zero!r}/{one!r}")
     if not (0 <= zero < n and 0 <= one < n):

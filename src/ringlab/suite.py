@@ -139,13 +139,6 @@ def _shape_mask(member: CorpusMember, ctx: SuiteContext) -> Optional[tuple[int, 
         in_side = np.zeros(P.order, dtype=bool)
         in_side[M[M[e, array_from_mask(ctx.delta(P), P.order)], e]] = True
         return mask_from_bool(in_side[meta["embed"]]), "eq"
-    if meta.get("kind") == "hst":
-        # free digits (c, d, e); the entries a = d + sc, d and f = d - te lie in delta
-        B, s, t = meta["bases"][0], meta["s"], meta["t"]
-        c, d, e = np.unravel_index(np.arange(R.order), meta["dims"])
-        A, M, neg = B.np_add, B.np_mul, B.neg
-        in_d = bool_from_mask(ctx.delta(B), B.order)
-        return mask_from_bool(in_d[A[d, M[s][c]]] & in_d[d] & in_d[A[d, neg[M[t][e]]]]), "eq"
     if "delta_digits" not in meta:
         return None
     ok = np.ones(R.order, dtype=bool)

@@ -120,12 +120,24 @@ def _case(name):
         return Z2, Z2, _spec(Z2.np_add, 0, Z2.np_mul, [[0, 0], [-1, 1]])
     if name == "zero out of range":
         return Z2, Z2, _spec(Z2.np_add, 2, Z2.np_mul, Z2.np_mul)
+    # entries that an int64 conversion would truncate into the default Tri(Z2, Z2)
+    if name == "float entry":
+        return Z2, Z2, BimoduleSpec(((0, 1), (1, 0)), 0, ((0, 0), (0, 1.7)), ((0, 0), (0, 1)))
+    if name == "bool entry":
+        return Z2, Z2, BimoduleSpec(((0, 1), (1, 0)), 0, ((0, 0), (0, True)), ((0, 0), (0, 1)))
+    if name == "float64 array":
+        return Z2, Z2, BimoduleSpec(Z2.np_add, 0, Z2.np_mul, Z2.np_mul.astype(np.float64))
+    if name == "float zero":
+        return Z2, Z2, BimoduleSpec(Z2.np_add, 0.0, Z2.np_mul, Z2.np_mul)
+    if name == "bool zero":
+        return Z2, Z2, BimoduleSpec(Z2.np_add, False, Z2.np_mul, Z2.np_mul)
     raise KeyError(name)
 
 
 LAW_CASES = ["non-additive", "non-unital", "non-associative", "non-commuting"]
 TABLE_CASES = ["sm+1, mt+1", "wrong shape", "ragged table", "entry out of range",
-               "negative entry", "zero out of range"]
+               "negative entry", "zero out of range", "float entry", "bool entry",
+               "float64 array", "float zero", "bool zero"]
 
 
 def _place(where, S, T, spec, size_cap=4096):

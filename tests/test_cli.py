@@ -1,10 +1,11 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from ringlab.cli import main
+from ringlab.cli import _parser, main
 
 from test_core import BAD_LABELS, BAD_NAMES, NON_INTEGER_ENTRIES, Z2_JSON, with_entry
 
@@ -58,6 +59,16 @@ def test_construct_parse_error_exit_2(capsys):
     code, _, err = run_cli("construct", "Zn(", capsys=capsys)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [("construct", "Zn(\u00b2)"),
+                                  ("radical", "Corner(Zn(4),e=\u00b9)"),
+                                  ("construct", "Zn(\u0663)")])
+def test_non_ascii_digit_is_a_parse_error_exit_2(capsys, argv):
+    # str.isdigit takes these for digits; integers in an expression are ASCII
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "position" in err
 
 
 @pytest.mark.parametrize("field,row,col,value", NON_INTEGER_ENTRIES)
@@ -241,3 +252,77 @@ def test_env_var_corpus(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli("suite", "--out", str(out), capsys=capsys)
     assert code == 0
     assert json.loads(out.read_text())["corpus_size"] == 1
+
+
+# ---------------------------------------------------------------------------
+# each subcommand takes exactly the options its command reads
+
+OPTIONS = {
+    "construct": ["--out", "--size-cap"],
+    "radical": ["--out", "--format", "--which", "--all-characterizations", "--size-cap",
+                "--lattice-cap", "--quantifier-cap"],
+    "check": ["--out", "--format", "--props", "--size-cap", "--lattice-cap",
+              "--armendariz-cap"],
+    "suite": ["--out", "--format", "-v", "--corpus", "--jobs", "--size-cap", "--lattice-cap",
+              "--quantifier-cap", "--armendariz-cap"],
+    "hunt": ["--implies", "--corpus", "--all", "--out", "--size-cap", "--lattice-cap",
+             "--armendariz-cap"],
+    "enumerate": ["--order", "--up-to-iso", "--out"],
+}
+
+
+def _subparsers() -> dict:
+    action = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _declared(command: str) -> list:
+    return [a for a in _subparsers()[command]._actions if a.dest != "help"]
+
+
+def test_option_slots():
+    assert list(_subparsers()) == list(OPTIONS)
+    for command, flags in OPTIONS.items():
+        assert [a.option_strings[0] for a in _declared(command) if a.option_strings] == flags
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records every attribute read once `reads` is a set."""
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "Zn(2)", "--out", "{d}/z2.json"],
+    ["radical", "Zn(4)", "--all-characterizations", "--format", "markdown"],
+    ["check", "Zn(4)", "--props", "reversible"],
+    ["suite", "--corpus", "Zn(4)", "-v", "--out", "{d}/report.json"],
+    ["hunt", "--implies", "reversible => delta-reversible", "--corpus", "Zn(4)"],
+    ["enumerate", "--order", "2"],
+])
+def test_every_declared_option_is_read(tmp_path, capsys, argv):
+    args = _parser().parse_args([a.format(d=tmp_path) for a in argv], namespace=ReadRecorder())
+    args.reads = set()
+    assert args.fn(args) == 0
+    declared = {a.dest for a in _declared(argv[0])}
+    # suite --jobs is kept for old scripts and does nothing
+    assert declared - args.reads == ({"jobs"} if argv[0] == "suite" else set())
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "Zn(2)", "--format", "markdown"],
+    ["radical", "Zn(4)", "--armendariz-cap", "1"],
+    ["check", "Zn(4)", "--quantifier-cap", "1"],
+    ["hunt", "--implies", "reversible => abelian", "--corpus", "Zn(4)", "-v"],
+    ["enumerate", "--order", "4", "--size-cap", "2"],
+])
+def test_a_removed_option_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -206,7 +206,7 @@ def _m3_embed_h(R, s, t, p):
     add, mul = R.np_add.tolist(), R.np_mul.tolist()
     c, d, e = decode_digits(p, [R.order] * 3)
     a = add[d][mul[s][c]]
-    f = R.sub(d, mul[t][e])
+    f = int(R.np_add[d, R.neg[mul[t][e]]])
     z = R.zero
     return [[a, z, z], [c, d, e], [z, z, f]]
 

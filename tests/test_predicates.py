@@ -160,7 +160,7 @@ def test_corner_containment(k0z4, m2z4, t2z2):
     e, x = res.witness
     mul = m2z4.np_mul.tolist()
     assert mul[e][e] == e
-    ome = m2z4.sub(m2z4.one, e)
+    ome = int(m2z4.np_add[m2z4.one, m2z4.neg[e]])
     d = zhou_radical_mask(m2z4)
     exl = mul[mul[e][x]][ome]
     exr = mul[mul[ome][x]][e]

@@ -1,14 +1,18 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from ringlab import core, predicates
-from ringlab.core import CharacterizationMismatch, clear_shared_cache
+from ringlab.constructions import hst_ring, make_zn, upper_triangular_ring
+from ringlab.core import (
+    CharacterizationMismatch, bool_from_mask, clear_shared_cache, is_central, mask_elems,
+    mask_from_bool, units_mask)
 from ringlab.ideals import zhou_radical_mask
 from ringlab.predicates import evaluate_predicate
 from ringlab.suite import (
-    HuntQuery, SuiteContext, _shape_mask, build_corpus, default_corpus,
+    CorpusMember, HuntQuery, SuiteContext, _shape_mask, build_corpus, default_corpus,
     hunt_counterexample, run_theorem_suite)
 
 
@@ -196,6 +200,31 @@ def test_every_fail_reverifies_standalone(suite_report, default_corpus):
         got = zhou_radical_mask(m.ring)
         ok = (got == want) if relation == "eq" else ((got | want) == want)
         assert not ok
+
+
+def _hst_shape_oracle(H) -> int:
+    """The H_(s,t) branch that _shape_mask had before hst_ring recorded its
+    shape as delta_digits: free digits (c, d, e), with the entries a = d + sc,
+    d and f = d - te in delta."""
+    B, s, t = H.meta["bases"][0], H.meta["s"], H.meta["t"]
+    c, d, e = np.unravel_index(np.arange(H.order), H.meta["dims"])
+    A, M, neg = B.np_add, B.np_mul, B.neg
+    in_d = bool_from_mask(zhou_radical_mask(B), B.order)
+    return mask_from_bool(in_d[A[d, M[s][c]]] & in_d[d] & in_d[A[d, neg[M[t][e]]]])
+
+
+def test_hst_shape_data_matches_the_former_formula():
+    # every H_(s,t)(B) of order <= 512 over these bases
+    ctx, checked = SuiteContext([]), 0
+    for B in [make_zn(k) for k in range(2, 9)] + [upper_triangular_ring(2, make_zn(2))]:
+        central_units = [u for u in mask_elems(units_mask(B)) if is_central(B, u)]
+        for s in central_units:
+            for t in central_units:
+                H = hst_ring(B, s, t)
+                member = CorpusMember(H.name, H, "hst", (B,))
+                assert _shape_mask(member, ctx) == (_hst_shape_oracle(H), "eq")
+                checked += 1
+    assert checked == 82
 
 
 def _shape_holds(member, members) -> bool:

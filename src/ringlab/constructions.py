@@ -18,6 +18,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -82,8 +83,8 @@ def _digit_grids(dims: Sequence[int]) -> list[np.ndarray]:
 
 
 def _pair(table: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Outer gather: result[p, q] = table[u[p], v[q]]."""
-    return table[u].take(v, axis=1)   # two 1-d gathers, C-ordered, beat one 2-d gather
+    """Outer gather: result[..., p, q] = table[..., u[p], v[q]]."""
+    return table[..., u, :].take(v, axis=-1)   # two 1-d gathers, C-ordered, beat one 2-d gather
 
 
 def _encode_slots(slot_tables: Iterable[np.ndarray], dims: Sequence[int]) -> np.ndarray:
@@ -129,16 +130,15 @@ def _slot_ring(name, slots, mul_slots, one, label, meta, size_cap) -> FiniteRing
 # ---------------------------------------------------------------------------
 # basic constructions
 
-def make_zn(k: int) -> FiniteRing:
+def make_zn(k: int, size_cap: int = SIZE_CAP) -> FiniteRing:
     """The ring of integers modulo k (the zero ring for k = 1)."""
     if k < 1:
         raise DimensionMismatch("k must be >= 1")
-    add = [[(i + j) % k for j in range(k)] for i in range(k)]
-    mul = [[(i * j) % k for j in range(k)] for i in range(k)]
-    one = 1 % k
-    return _validated(f"Z{k}", 0, one, add, mul,
-                      labels=[str(i) for i in range(k)],
-                      meta={"kind": "zn", "k": k})
+    if k > size_cap:
+        raise SizeCap(f"Z{k} would have order {k} > size cap {size_cap}")
+    x = np.arange(k)
+    return _validated(f"Z{k}", 0, 1 % k, (x[:, None] + x) % k, (x[:, None] * x) % k,
+                      map(str, range(k)), {"kind": "zn", "k": k}, size_cap)
 
 
 def direct_product(parts: Sequence[FiniteRing], size_cap: int = SIZE_CAP) -> FiniteRing:
@@ -621,8 +621,14 @@ def ring_fingerprint(R: FiniteRing):
 def ring_isomorphic(R: FiniteRing, S: FiniteRing) -> Optional[tuple[int, ...]]:
     """An explicit isomorphism R -> S as an index tuple, or None.
 
-    Backtracking over images of a greedy additive generating sequence, seeded
-    by element invariants; meant for order <= 16.
+    Depth-first search over images of R's greedy additive generators
+    (`additive_span`), each drawn from the elements of S with its invariant
+    row.  Choosing g -> h extends the partial map phi, defined on the
+    subgroup H spanned so far, along the span's doubling translations
+    x + 2^j g -> phi(x) + 2^j h onto H + <g>.  The result survives if it is
+    injective and preserves every sum and every product it has mapped.  An
+    isomorphism that agrees with phi on H and sends g to h agrees with the
+    result on H + <g>, so the search misses none.
     """
     if R.order != S.order:
         return None
@@ -630,73 +636,32 @@ def ring_isomorphic(R: FiniteRing, S: FiniteRing) -> Optional[tuple[int, ...]]:
     fpS, rowsS = ring_fingerprint(S)
     if fpR != fpS:
         return None
-    n = R.order
-    # plain lists for the scalar loops: numpy scalars index and hash slower
-    r_add, r_mul, s_add, s_mul = (t.tolist() for t in (R.np_add, R.np_mul, S.np_add, S.np_mul))
-    invR = list(map(tuple, rowsR.tolist()))
-    ordR = rowsR[:, 0].tolist()
-    invS_pool: dict = {}
-    for y, row in enumerate(map(tuple, rowsS.tolist())):
-        invS_pool.setdefault(row, []).append(y)
+    gens = additive_span(R.np_add, R.zero, np.arange(R.order))[0]
+    pools = [match.nonzero()[0] for match in (rowsR[gens, None] == rowsS).all(axis=2)]
+    TR, TS = np.stack([R.np_add, R.np_mul]), np.stack([S.np_add, S.np_mul])
 
-    gens = additive_span(R.np_add, R.zero, np.arange(n))[0].tolist()
-
-    def extend(mapping: dict, g: int, h: int) -> Optional[dict]:
-        new_map = dict(mapping)
-        cur_g, cur_h = g, h
-        base = list(mapping.items())
-        for _ in range(ordR[g]):
-            for x, y in base:
-                xs = r_add[x][cur_g]
-                ys = s_add[y][cur_h]
-                if xs in new_map:
-                    if new_map[xs] != ys:
-                        return None
-                else:
-                    new_map[xs] = ys
-            cur_g = r_add[cur_g][g]
-            cur_h = s_add[cur_h][h]
-        if len(set(new_map.values())) != len(new_map):
-            return None
-        return new_map
-
-    def dfs(gi: int, mapping: dict) -> Optional[dict]:
-        if gi == len(gens):
-            if len(mapping) != n or mapping[R.one] != S.one:
-                return None
-            for x, y in mapping.items():
-                for x2, y2 in mapping.items():
-                    if mapping[r_mul[x][x2]] != s_mul[y][y2]:
-                        return None
-            return mapping
-        g = gens[gi]
-        for h in invS_pool.get(invR[g], []):
-            if h in mapping.values():
+    def search(phi: np.ndarray, dom: np.ndarray, i: int) -> Optional[tuple[int, ...]]:
+        if i == len(gens):
+            return tuple(phi.tolist())
+        for h in pools[i]:
+            grown, mapped, x, y = phi.copy(), dom, gens[i], h
+            while grown[x] < 0:
+                grown[R.np_add[x][mapped]] = S.np_add[y][grown[mapped]]   # + commutes
+                mapped, x, y = (grown >= 0).nonzero()[0], R.np_add[x, x], S.np_add[y, y]
+            img = grown[mapped]
+            if np.count_nonzero(img == S.zero) > 1:     # an additive map's kernel
                 continue
-            grown = extend(mapping, g, h)
-            if grown is None:
-                continue
-            # partial multiplicative consistency on the mapped subring
-            ok = True
-            for x, y in grown.items():
-                if not ok:
-                    break
-                for x2, y2 in grown.items():
-                    p = r_mul[x][x2]
-                    if p in grown and grown[p] != s_mul[y][y2]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            res = dfs(gi + 1, grown)
-            if res is not None:
-                return res
+            # every sum in the subgroup is mapped; a product may not be yet (-1)
+            P = grown[_pair(TR, mapped, mapped)]
+            if ((P == _pair(TS, img, img)) | (P < 0)).all():
+                found = search(grown, mapped, i + 1)
+                if found is not None:
+                    return found
         return None
 
-    mapping = dfs(0, {R.zero: S.zero})
-    if mapping is None:
-        return None
-    return tuple(mapping[x] for x in range(n))
+    phi = np.full(R.order, -1, dtype=np.int32)     # the table dtype
+    phi[R.zero] = S.zero
+    return search(phi, np.array([R.zero]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -760,74 +725,78 @@ def parse_ring_expr(text: str) -> RingExpr:
         return out
 
     def item():
+        at = tokens[i][2]
         if tokens[i][0] == "name" and tokens[i + 1][0] == "=":
             key = take()
             take("=")
             return key, (listed(lambda: take("integer"), "[]") if tokens[i][0] == "["
-                         else take("integer"))
-        return None, (expr() if tokens[i][0] == "name" else take("integer", "string"))
+                         else take("integer")), at
+        return None, (expr() if tokens[i][0] == "name" else take("integer", "string")), at
 
     def expr() -> RingExpr:
         at = tokens[i][2]
         head = take("name")
-        items = listed(item, "()")
-        return RingExpr(head, [v for k, v in items if k is None],
-                        {k: v for k, v in items if k is not None}, at)
+        args, kwargs = [], {}
+        for key, value, key_at in listed(item, "()"):
+            if key in kwargs:
+                raise ParseError(f"repeated keyword {key!r}", key_at)
+            if key is None:
+                args.append(value)
+            else:
+                kwargs[key] = value
+        return RingExpr(head, args, kwargs, at)
 
     tree = expr()
     take("end")
     return tree
 
 
-def build_ring_expr(expr: RingExpr, size_cap: int = SIZE_CAP) -> FiniteRing:
-    """Evaluate a parsed RingExpr into a validated FiniteRing."""
-    def as_ring(v, what: str) -> FiniteRing:
-        if isinstance(v, FiniteRing):
-            return v
-        raise ParseError(f"{what} expects a ring argument", expr.pos)
+# head: (builder, positional kinds, keyword kinds).  A builder takes the size
+# cap, the positional arguments and the keywords by name.  "ring" is a nested
+# expression; Prod's "..." repeats its ring.  Every keyword is required but
+# Quot's gens, which defaults to no generators.
+_CONSTRUCTORS = {
+    "Zn": (lambda cap, k: make_zn(k, cap), ("int",), {}),
+    "M": (lambda cap, n, R: matrix_ring(n, R, cap), ("int", "ring"), {}),
+    "T": (lambda cap, n, R: upper_triangular_ring(n, R, cap), ("int", "ring"), {}),
+    "Prod": (lambda cap, *parts: direct_product(parts, cap), ("ring", "..."), {}),
+    "Corner": (lambda cap, R, e: corner_ring(R, e, cap).ring, ("ring",), {"e": "int"}),
+    "Quot": (lambda cap, R, gens=(): quotient_ring(R, two_sided_ideal_generated(R, gens),
+                                                   cap).ring, ("ring",), {"gens": "list"}),
+    "Hst": (lambda cap, R, s, t: hst_ring(R, s, t, cap), ("ring",), {"s": "int", "t": "int"}),
+    "Lst": (lambda cap, R, s, t: lst_ring(R, s, t, cap), ("ring",), {"s": "int", "t": "int"}),
+    "K0": (lambda cap, R: ks_ring(R, R.zero, cap), ("ring",), {}),
+    "Ks": (lambda cap, R, s: ks_ring(R, s, cap), ("ring",), {"s": "int"}),
+    "Tri": (lambda cap, S, T: formal_triangular(S, T, size_cap=cap), ("ring", "ring"), {}),
+    "Morita": (lambda cap, A, B: trivial_morita(A, B, size_cap=cap), ("ring", "ring"), {}),
+    "File": (lambda cap, path: loads_ring(Path(path).read_text(encoding="utf-8"), cap),
+             ("str",), {}),
+}
 
-    head = expr.head
-    args = [build_ring_expr(a, size_cap) if isinstance(a, RingExpr) else a
-            for a in expr.args]
-    kw = expr.kwargs
+
+def _kind(value) -> str:
+    return "ring" if isinstance(value, RingExpr) else type(value).__name__
+
+
+def build_ring_expr(expr: RingExpr, size_cap: int = SIZE_CAP) -> FiniteRing:
+    """Evaluate a parsed RingExpr into a validated FiniteRing.  ParseError at
+    the expression unless its arguments fit the head's `_CONSTRUCTORS` entry:
+    no surplus or missing argument, no wrong kind, no unknown keyword."""
+    if expr.head not in _CONSTRUCTORS:
+        raise ParseError(f"unknown constructor {expr.head!r}", expr.pos)
+    build, kinds, keywords = _CONSTRUCTORS[expr.head]
+    given = tuple(map(_kind, expr.args))
+    fits = given == kinds or (kinds[-1] == "..." and given and set(given) == {kinds[0]})
+    if (not fits or set(keywords) - {"gens"} - set(expr.kwargs)
+            or any(keywords.get(k) != _kind(v) for k, v in expr.kwargs.items())):
+        want = ", ".join(kinds + tuple(f"{k}={v}" for k, v in keywords.items()))
+        got = ", ".join(given + tuple(f"{k}={_kind(v)}" for k, v in expr.kwargs.items()))
+        raise ParseError(f"{expr.head} takes ({want}), got ({got})", expr.pos)
+    args = [build_ring_expr(a, size_cap) if isinstance(a, RingExpr) else a for a in expr.args]
     try:
-        if head == "Zn":
-            return make_zn(int(args[0]))
-        if head == "M":
-            return matrix_ring(int(args[0]), as_ring(args[1], "M"), size_cap)
-        if head == "T":
-            return upper_triangular_ring(int(args[0]), as_ring(args[1], "T"), size_cap)
-        if head == "Prod":
-            return direct_product([as_ring(a, "Prod") for a in args], size_cap)
-        if head == "Corner":
-            return corner_ring(as_ring(args[0], "Corner"), int(kw["e"]), size_cap).ring
-        if head == "Quot":
-            base = as_ring(args[0], "Quot")
-            ideal = two_sided_ideal_generated(base, kw.get("gens", []))
-            return quotient_ring(base, ideal, size_cap).ring
-        if head == "Hst":
-            return hst_ring(as_ring(args[0], "Hst"), int(kw["s"]), int(kw["t"]), size_cap)
-        if head == "Lst":
-            return lst_ring(as_ring(args[0], "Lst"), int(kw["s"]), int(kw["t"]), size_cap)
-        if head == "K0":
-            base = as_ring(args[0], "K0")
-            return ks_ring(base, base.zero, size_cap)
-        if head == "Ks":
-            return ks_ring(as_ring(args[0], "Ks"), int(kw["s"]), size_cap)
-        if head == "Tri":
-            return formal_triangular(as_ring(args[0], "Tri"), as_ring(args[1], "Tri"),
-                                     size_cap=size_cap)
-        if head == "Morita":
-            return trivial_morita(as_ring(args[0], "Morita"), as_ring(args[1], "Morita"),
-                                  size_cap=size_cap)
-        if head == "File":
-            with open(args[0], "r", encoding="utf-8") as fh:
-                return loads_ring(fh.read(), size_cap=size_cap)
-    except KeyError as exc:
-        raise ParseError(f"{head} is missing required argument {exc}", expr.pos) from exc
-    except (IndexError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad arguments for {head}: {exc}", expr.pos) from exc
-    raise ParseError(f"unknown constructor {head!r}", expr.pos)
+        return build(size_cap, *args, **expr.kwargs)
+    except ValueError as exc:       # File: malformed JSON or UTF-8, a NUL in the path
+        raise ParseError(f"bad arguments for {expr.head}: {exc}", expr.pos) from exc
 
 
 def construct(text: str, size_cap: int = SIZE_CAP) -> FiniteRing:

@@ -554,7 +554,7 @@ def validate_ring(name: str, zero: int, one: int,
                   add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]],
                   labels: Optional[Sequence[str]] = None,
                   meta: Optional[dict] = None,
-                  size_cap: int = SIZE_CAP, warn_at: int = SIZE_WARN) -> FiniteRing:
+                  size_cap: int = SIZE_CAP) -> FiniteRing:
     """Build a FiniteRing after exactly checking every axiom (`check_ring_axioms`).
 
     add and mul are lists of lists of plain ints (bool is refused) or integer
@@ -574,8 +574,8 @@ def validate_ring(name: str, zero: int, one: int,
         raise DimensionMismatch(f"labels has length {len(labels)}, expected {n}")
     if n > size_cap:
         raise SizeCap(f"order {n} exceeds size cap {size_cap}")
-    if n > warn_at:
-        warnings.warn(f"ring {name!r} has order {n} > {warn_at}; its right-ideal lattice "
+    if n > SIZE_WARN:
+        warnings.warn(f"ring {name!r} has order {n} > {SIZE_WARN}; its right-ideal lattice "
                       "and predicates will be slow", stacklevel=2)
     R = FiniteRing(name, zero, one, add, mul, labels, meta)
     check_ring_axioms(R)

@@ -192,6 +192,24 @@ def test_hunt_malformed_implication_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("expr", ["Zn(4,5)", "K0(Zn(2),s=1)", "Corner(Zn(4),e=1,x=2)",
+                                  "Zn('4')", "Hst(Zn(3),s=1,t=1,s=2)", "File(0)", "Prod()",
+                                  "Quot(Zn(4),gens=2)", "Corner(Zn(4),e=[1])", "Ks(Zn(2))",
+                                  "M(Zn(2),2)", "Tri(Zn(2))"])
+def test_arguments_a_constructor_would_ignore_exit_2(capsys, expr):
+    # a surplus argument, a wrong kind, an unknown, missing or repeated keyword;
+    # File(0) would read file descriptor 0, stdin
+    code, out, err = run_cli("radical", expr, "--which", "delta", capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "position" in err
+
+
+def test_zn_obeys_the_size_cap_exit_2(capsys):
+    code, out, err = run_cli("construct", "Zn(300)", "--size-cap", "100", capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "size cap 100" in err
+
+
 @pytest.mark.parametrize("expr", ["Quot(Zn(4),gens=[-1])", "Quot(Zn(4),gens=[7])",
                                   "Ks(Zn(3),s=-1)", "Corner(Zn(4),e=9)"])
 def test_out_of_range_element_parameter_exit_2(capsys, expr):

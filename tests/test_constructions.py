@@ -28,6 +28,23 @@ def test_make_zn_edge_cases():
     assert units(Z3).elems == (1, 2)  # field
 
 
+def test_make_zn_matches_list_built_tables():
+    for k in range(1, 65):
+        add = [[(i + j) % k for j in range(k)] for i in range(k)]
+        mul = [[(i * j) % k for j in range(k)] for i in range(k)]
+        want = FiniteRing(f"Z{k}", 0, 1 % k, add, mul, [str(i) for i in range(k)])
+        R = make_zn(k)
+        assert same_tables(R, want) and R.labels == want.labels and R.digest == want.digest
+
+
+def test_make_zn_checks_the_size_cap_before_building(monkeypatch):
+    monkeypatch.setattr(constructions, "_validated", None)   # never reached
+    for build in (lambda: make_zn(core.SIZE_CAP + 1), lambda: make_zn(300, size_cap=100),
+                  lambda: construct("Zn(300)", size_cap=100)):
+        with pytest.raises(SizeCap):
+            build()
+
+
 def test_direct_product_isomorphic_z6(zn):
     P = direct_product([zn[2], zn[3]])
     assert P.order == 6

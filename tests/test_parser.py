@@ -5,11 +5,12 @@ The inputs are every ring expression quoted in README.md, in tests/ and in
 the query and round-trip sets of perfbench/workloads.py (copied in as
 literals), every proper prefix of each, and seeded one-character edits.
 Wherever the oracle parses, the parser gives the same tree and positions;
-wherever the oracle raises ParseError, so does the parser.  Two differences
+wherever the oracle raises ParseError, so does the parser.  Three differences
 are allowed: the oracle took any Unicode digit for a digit (`str.isdigit`),
 so "Zn(\u00b2)" ended in int()'s ValueError where the parser raises
-ParseError; and the oracle read non-ASCII letters into names, which
-`build_ring_expr` then refused, where the parser refuses them itself.
+ParseError; the oracle read non-ASCII letters into names, which
+`build_ring_expr` then refused, where the parser refuses them itself; and
+the oracle kept the last of a repeated keyword, which the parser refuses.
 """
 import random
 from typing import Optional
@@ -79,6 +80,17 @@ HAND_EXPRS = (
     "Hst( Zn(4) , s = 1 , t = 3 )", "File('r.json')", "Quot(Zn(4), gens=[ ])",
     "Quot(Zn(8),gens=[2, -6])", "\tProd(Zn(2),\n Zn(3))  ", "Zn(\u00b2)",
     "Corner(Zn(4),e=\u00b9)", "Zn(007)", "Corner(Zn(4),e=-0)", "M(2,\u00a0Zn(3))",
+)
+# expressions added to README.md and tests/ after the lists above, last so
+# that the seeded edits of the others stay put: surplus, misfit or repeated
+# arguments, then the isomorphism tests' rings
+ADDED_EXPRS = (
+    'Zn(4,5)', 'K0(Zn(2),s=1)', 'File(0)', 'Corner(Zn(4),e=1,x=2)', "Zn('4')",
+    'Hst(Zn(3),s=1,t=1,s=2)', 'Prod()', 'Quot(Zn(4),gens=2)', 'Corner(Zn(4),e=[1])',
+    'Ks(Zn(2))', 'M(Zn(2),2)', 'Tri(Zn(2))', 'Quot(Zn(4),gens=[1],gens=[])', 'Zn(300)',
+    'Hst(Zn(3),t=1,s=1)', 'Prod(Zn(2),T(2,Zn(2)))', 'Prod(Hst(Zn(2),s=1,t=1),Zn(2))',
+    'Quot(T(2,Zn(4)),gens=[2])', 'Quot(Zn(32),gens=[16])', 'Prod(Zn(8),Zn(2))',
+    'Prod(Zn(2),Zn(2),Zn(4))', 'Prod(Zn(2),Zn(2),Zn(2),Zn(2),Zn(2),Zn(2))',
 )
 
 
@@ -206,7 +218,7 @@ EDITS_PER_EXPR = 12
 def _inputs() -> list[str]:
     rng = random.Random(19)
     seen: dict[str, None] = {}
-    for text in README_EXPRS + TEST_EXPRS + BENCH_EXPRS + HAND_EXPRS:
+    for text in README_EXPRS + TEST_EXPRS + BENCH_EXPRS + HAND_EXPRS + ADDED_EXPRS:
         for k in range(len(text) + 1):
             seen[text[:k]] = None
         for _ in range(EDITS_PER_EXPR):
@@ -236,23 +248,38 @@ def _non_ascii_alnum(text: str) -> bool:
     return any(not ch.isascii() and (ch.isalpha() or ch.isdigit()) for ch in text)
 
 
+def _keywords(tree: RingExpr) -> int:
+    return len(tree.kwargs) + sum(_keywords(a) for a in tree.args if isinstance(a, RingExpr))
+
+
+def _repeats_a_keyword(text: str) -> bool:
+    """The oracle kept the last of a repeated keyword: its tree holds fewer
+    keywords than the text has "=" tokens."""
+    return sum(tok == "=" for tok, _ in oracle_tokenize(text)) > _keywords(oracle_parse(text))
+
+
 # ParseErrors at another position than the oracle's, all on inputs with a
 # non-ASCII letter or digit: the oracle read it into a token and failed
 # later, the parser stops at it
 MOVED_POSITIONS = 37
+# inputs with a repeated keyword: two in ADDED_EXPRS and five of their edits
+REPEATED_KEYWORDS = 7
 
 
 def test_parser_keeps_the_oracle_contract():
     inputs = _inputs()
     assert len(inputs) >= 2000
-    counts = dict(same_tree=0, refused_name=0, parse_error=0, value_error=0, moved=0)
+    counts = dict(same_tree=0, refused_name=0, repeated_keyword=0, parse_error=0, value_error=0,
+                  moved=0)
     for text in inputs:
         want, got = _outcome(oracle_parse, text), _outcome(parse_ring_expr, text)
         if want[0] == "tree" and got == want:
             counts["same_tree"] += 1
             continue
         assert got[0] is ParseError and 0 <= got[1] <= len(text), text
-        if want[0] == "tree":
+        if want[0] == "tree" and _repeats_a_keyword(text):
+            counts["repeated_keyword"] += 1
+        elif want[0] == "tree":
             assert _non_ascii_alnum(text), text
             counts["refused_name"] += 1
         elif want[0] is ValueError:
@@ -264,6 +291,7 @@ def test_parser_keeps_the_oracle_contract():
                 counts["moved"] += 1
     assert counts["same_tree"] > 500 and counts["parse_error"] > 1000
     assert counts["moved"] == MOVED_POSITIONS, counts
+    assert counts["repeated_keyword"] == REPEATED_KEYWORDS, counts
 
 
 def test_whitespace_is_str_isspace():
@@ -279,3 +307,11 @@ def test_whitespace_is_str_isspace():
 def test_non_ascii_digits_and_trailing_commas_are_parse_errors(text):
     with pytest.raises(ParseError):
         parse_ring_expr(text)
+
+
+@pytest.mark.parametrize("text,at", [("Hst(Zn(3),s=1,t=1,s=2)", 18),
+                                     ("Quot(Zn(4),gens=[1],gens=[])", 20)])
+def test_a_repeated_keyword_is_a_parse_error(text, at):
+    with pytest.raises(ParseError) as exc:
+        parse_ring_expr(text)
+    assert exc.value.position == at

@@ -17,7 +17,7 @@ import os
 import sys
 
 from .core import (
-    ARMENDARIZ_CAP, LATTICE_CAP, QUANTIFIER_CAP, SIZE_CAP, TOOL_VERSION,
+    ARMENDARIZ_CAP, LATTICE_CAP, SIZE_CAP, TOOL_VERSION,
     CrossCheckMismatch, CharacterizationMismatch, RinglabError, SizeCap,
     dumps_ring, mask_elems, ring_to_json_dict)
 from .constructions import construct, enumerate_unital_rings
@@ -72,7 +72,7 @@ def cmd_radical(args) -> int:
     for w in which:
         payload["radicals"][w] = list(mask_elems(fns[w](ring)))
     if args.all_characterizations:
-        chars = radical_characterizations(ring, args.lattice_cap, args.quantifier_cap)
+        chars = radical_characterizations(ring, args.lattice_cap)
         payload["characterizations"] = {
             k: (list(mask_elems(v)) if v is not None else None) for k, v in chars.items()}
         vals = [v for v in chars.values() if v is not None]
@@ -126,7 +126,6 @@ def cmd_suite(args) -> int:
         print(f"corpus {spec}: {len(members)} members", file=sys.stderr)
     report = run_theorem_suite(members, spec,
                                lattice_cap=args.lattice_cap,
-                               quantifier_cap=args.quantifier_cap,
                                armendariz_cap=args.armendariz_cap)
     _write(report.to_json() if args.format == "json" else report.to_markdown(), args.out)
     if args.verbose:
@@ -191,7 +190,6 @@ _OPTIONS = {
     "up_to_iso": (("--up-to-iso",), dict(action="store_true")),
     "size_cap": (("--size-cap",), dict(type=int, default=SIZE_CAP)),
     "lattice_cap": (("--lattice-cap",), dict(type=int, default=LATTICE_CAP)),
-    "quantifier_cap": (("--quantifier-cap",), dict(type=int, default=QUANTIFIER_CAP)),
     "armendariz_cap": (("--armendariz-cap",), dict(type=int, default=ARMENDARIZ_CAP)),
 }
 
@@ -199,13 +197,11 @@ _OPTIONS = {
 _COMMANDS = {
     "construct": (cmd_construct, "build a ring and write its JSON", "ring out size_cap"),
     "radical": (cmd_radical, "compute radicals of a ring",
-                "ring out format which all_characterizations size_cap lattice_cap "
-                "quantifier_cap"),
+                "ring out format which all_characterizations size_cap lattice_cap"),
     "check": (cmd_check, "evaluate predicates on a ring",
               "ring out format props size_cap lattice_cap armendariz_cap"),
     "suite": (cmd_suite, "run the theorem suite over a corpus",
-              "out format verbose corpus jobs size_cap lattice_cap quantifier_cap "
-              "armendariz_cap"),
+              "out format verbose corpus jobs size_cap lattice_cap armendariz_cap"),
     "hunt": (cmd_hunt, "hunt for a counterexample to an implication",
              "implies corpus all out size_cap lattice_cap armendariz_cap"),
     "enumerate": (cmd_enumerate, "enumerate unital rings of a given order",

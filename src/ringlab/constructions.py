@@ -4,7 +4,11 @@ Composite elements are encoded mixed-radix over component indices, most
 significant digit first, so encodings are stable across runs and documented
 by the labels.  Every extension ring is built by one slot builder,
 `_slot_ring`, from vectorized gathers; every constructor ends in exact axiom
-validation.
+validation.  A matrix-shaped extension (M_n, T_n, L_(s,t), K_s, formal
+triangular rings, Morita contexts) is data: a set of matrix positions, one
+slot each, and a table of routes (i, t, j) multiplying entry (i, t) by entry
+(t, j), all multiplied by `_route_rule`; H_(s,t) applies L_(s,t)'s rule and
+checks that the products stay in the family.
 
 Extensions record their base rings in `meta["bases"]`.  Those whose radical
 has a claimed digit-wise shape also record `dims`, `delta_digits` (digit s
@@ -97,13 +101,34 @@ def _encode_slots(slot_tables: Iterable[np.ndarray], dims: Sequence[int]) -> np.
     return acc
 
 
-def _sum_of_products(A: np.ndarray, M: np.ndarray, pairs) -> np.ndarray:
-    """Slot table of sum_t u_t v_t over digit-vector pairs (u_t, v_t)."""
-    acc = None
-    for u, v in pairs:
-        term = _pair(M, u, v)
-        acc = term if acc is None else A[acc, term]
-    return acc
+def _route_rule(positions, routes, adds):
+    """`mul_slots` for matrices supported on `positions`, one slot per
+    position, row-major.
+
+    Entry (i, j) of a product is the sum, in slot (i, j)'s additive table
+    `adds[k]` and in ascending t, of routes[i, t, j][x_it, y_tj].  A route
+    missing from `routes` is a zero product; every position has a route.
+    """
+    slot = {p: k for k, p in enumerate(positions)}
+    terms = [[(routes[r], slot[r[:2]], slot[r[1:]]) for r in sorted(routes) if r[::2] == p]
+             for p in positions]
+
+    def mul_slots(*digs):
+        for A, entry in zip(adds, terms):
+            acc = None
+            for table, u, v in entry:
+                term = _pair(table, digs[u], digs[v])
+                acc = term if acc is None else A[acc, term]
+            yield acc
+    return mul_slots
+
+
+def _closed_routes(positions, table) -> dict:
+    """Every route (i, t, j) with (i, t), (t, j) and (i, j) in `positions`,
+    each through `table`."""
+    inside = set(positions)
+    return {(i, t, j): table for i, t in positions for u, j in positions
+            if u == t and (i, j) in inside}
 
 
 def _slot_ring(name, slots, mul_slots, one, label, meta, size_cap) -> FiniteRing:
@@ -156,11 +181,27 @@ def direct_product(parts: Sequence[FiniteRing], size_cap: int = SIZE_CAP) -> Fin
          "delta_digits": tuple(range(len(parts))), "delta_relation": "eq"}, size_cap)
 
 
-def _matrix_label(entries, base: FiniteRing, n: int) -> str:
-    rows = []
-    for i in range(n):
-        rows.append("[" + ",".join(base.label(entries[i * n + j]) for j in range(n)) + "]")
-    return "[" + ",".join(rows) + "]"
+def _matrix_label(R: FiniteRing, positions):
+    """The labeller of square matrices over R with entries at `positions`
+    and R's zero elsewhere: label(*entries) fills one template."""
+    n = 1 + max(map(max, positions))
+    slot = {p: "{%d}" % k for k, p in enumerate(positions)}
+    zero = R.label(R.zero).replace("{", "{{").replace("}", "}}")
+    template = "[" + ",".join("[" + ",".join(slot.get((i, j), zero) for j in range(n)) + "]"
+                              for i in range(n)) + "]"
+    return lambda *entries: template.format(*map(R.label, entries))
+
+
+def _matrix_family(name, R, positions, meta, size_cap, routes=None, label=None):
+    """The ring of square matrices over R supported on `positions` (row-major),
+    multiplied by `_route_rule`: by default every route goes through R's
+    product.  The identity is R's one down the diagonal."""
+    k = len(positions)
+    return _slot_ring(
+        name, [(R.np_add, R.zero)] * k,
+        _route_rule(positions, routes or _closed_routes(positions, R.np_mul), [R.np_add] * k),
+        [R.one if i == j else R.zero for i, j in positions],
+        label or _matrix_label(R, positions), meta, size_cap)
 
 
 def matrix_ring(n: int, R: FiniteRing, size_cap: int = SIZE_CAP) -> FiniteRing:
@@ -169,16 +210,9 @@ def matrix_ring(n: int, R: FiniteRing, size_cap: int = SIZE_CAP) -> FiniteRing:
         raise DimensionMismatch("n must be >= 1")
     if n == 1:
         return R
-    A, M = R.np_add, R.np_mul
-    return _slot_ring(
-        f"M{n}({R.name})", [(A, R.zero)] * (n * n),
-        lambda *digs: (_sum_of_products(A, M, ((digs[i * n + t], digs[t * n + j])
-                                               for t in range(n)))
-                       for i in range(n) for j in range(n)),
-        [R.one if i == j else R.zero for i in range(n) for j in range(n)],
-        lambda *entries: _matrix_label(entries, R, n),
-        {"kind": "matrix", "n": n, "bases": (R,),
-         "delta_digits": (0,) * (n * n), "delta_relation": "eq"}, size_cap)
+    return _matrix_family(f"M{n}({R.name})", R, [(i, j) for i in range(n) for j in range(n)],
+                          {"kind": "matrix", "n": n, "bases": (R,),
+                           "delta_digits": (0,) * (n * n), "delta_relation": "eq"}, size_cap)
 
 
 def upper_triangular_ring(n: int, R: FiniteRing, size_cap: int = SIZE_CAP) -> FiniteRing:
@@ -188,22 +222,10 @@ def upper_triangular_ring(n: int, R: FiniteRing, size_cap: int = SIZE_CAP) -> Fi
     if n == 1:
         return R
     positions = [(i, j) for i in range(n) for j in range(n) if i <= j]
-    slot = {pos: s for s, pos in enumerate(positions)}
-    A, M = R.np_add, R.np_mul
-
-    def tri_label(*d):
-        return _matrix_label([d[slot[(i, j)]] if i <= j else R.zero
-                              for i in range(n) for j in range(n)], R, n)
-
-    return _slot_ring(
-        f"T{n}({R.name})", [(A, R.zero)] * len(positions),
-        lambda *digs: (_sum_of_products(A, M, ((digs[slot[(i, t)]], digs[slot[(t, j)]])
-                                               for t in range(i, j + 1)))
-                       for (i, j) in positions),
-        [R.one if i == j else R.zero for (i, j) in positions], tri_label,
-        {"kind": "triangular", "n": n, "bases": (R,),
-         "delta_digits": tuple(0 if i == j else None for i, j in positions),
-         "delta_relation": "subset"}, size_cap)
+    return _matrix_family(f"T{n}({R.name})", R, positions,
+                          {"kind": "triangular", "n": n, "bases": (R,),
+                           "delta_digits": tuple(0 if i == j else None for i, j in positions),
+                           "delta_relation": "subset"}, size_cap)
 
 
 @dataclass(frozen=True)
@@ -294,37 +316,35 @@ def _require_central_unit(R: FiniteRing, x: int, role: str) -> None:
         raise NotCentralUnit(f"{role}={x} is not a unit of {R.name}")
 
 
+# L_(s,t)'s positions in M3: [[a,0,0],[c,d,e],[0,0,f]]
+_L_POSITIONS = ((0, 0), (1, 0), (1, 1), (1, 2), (2, 2))
+
+
 def hst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteRing:
     """Subring of M3(R) on matrices [[a,0,0],[c,d,e],[0,0,f]] with a-d = sc, d-f = te.
 
     The free parameters are (c, d, e); a and f are determined, so the ring has
-    order |R|^3.  Products are computed via the 3x3 matrix formulas and the
-    membership constraints are re-verified on the whole multiplication table.
+    order |R|^3.  Products are L_(s,t)'s route rule on (d+sc, c, d, e, d-te),
+    and the membership constraints are re-verified on the whole table.
     """
     _require_central_unit(R, s, "s")
     _require_central_unit(R, t, "t")
     A, M, NEG = R.np_add, R.np_mul, R.neg
+    rule = _route_rule(_L_POSITIONS, _closed_routes(_L_POSITIONS, M), [A] * 5)
 
     def h_mul(c, d, e):
-        a_of = A[d, M[s][c]]              # a = d + s c
-        f_of = A[d, NEG[M[t][e]]]         # f = d - t e
-        c3 = A[_pair(M, c, a_of), _pair(M, d, c)]
-        d3 = _pair(M, d, d)
-        e3 = A[_pair(M, d, e), _pair(M, e, f_of)]
+        a3, c3, d3, e3, f3 = rule(A[d, M[s][c]], c, d, e, A[d, NEG[M[t][e]]])
         # closure guard: products must satisfy the defining linear constraints
-        if (not np.array_equal(_pair(M, a_of, a_of), A[d3, M[s][c3]])
-                or not np.array_equal(_pair(M, f_of, f_of), A[d3, NEG[M[t][e3]]])):
+        if (not np.array_equal(a3, A[d3, M[s][c3]])
+                or not np.array_equal(f3, A[d3, NEG[M[t][e3]]])):
             raise ClosureViolation(f"H(s,t) product left the family for {R.name}")
         return [c3, d3, e3]
 
     add, mul_s, mul_t, neg = A.tolist(), M[s].tolist(), M[t].tolist(), NEG.tolist()
+    matrix = _matrix_label(R, _L_POSITIONS)
 
-    def h_label(ci, di, ei):
-        ai = add[di][mul_s[ci]]
-        fi = add[di][neg[mul_t[ei]]]
-        z = R.label(R.zero)
-        return (f"[[{R.label(ai)},{z},{z}],[{R.label(ci)},{R.label(di)},{R.label(ei)}],"
-                f"[{z},{z},{R.label(fi)}]]")
+    def h_label(c, d, e):
+        return matrix(add[d][mul_s[c]], c, d, e, add[d][neg[mul_t[e]]])
 
     # d in delta: a = d + sc in delta iff c is, f = d - te iff e is (s, t units; delta an ideal)
     return _slot_ring(f"H({s},{t})({R.name})", [(A, R.zero)] * 3, h_mul,
@@ -342,28 +362,13 @@ def lst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteR
     """
     _require_central_unit(R, s, "s")
     _require_central_unit(R, t, "t")
-    A, M = R.np_add, R.np_mul
-
-    def l_mul(a, c, d, e, f):
-        yield _pair(M, a, a)
-        yield A[_pair(M, c, a), _pair(M, d, c)]     # s cancels: central unit
-        yield _pair(M, d, d)
-        yield A[_pair(M, d, e), _pair(M, e, f)]     # t cancels likewise
-        yield _pair(M, f, f)
-
-    mul_s, mul_t = M[s].tolist(), M[t].tolist()
-
-    def l_label(ai, ci, di, ei, fi):
-        z = R.label(R.zero)
-        sc = R.label(mul_s[ci])
-        te = R.label(mul_t[ei])
-        return (f"[[{R.label(ai)},{z},{z}],[{sc},{R.label(di)},{te}],"
-                f"[{z},{z},{R.label(fi)}]]")
-
-    return _slot_ring(f"L({s},{t})({R.name})", [(A, R.zero)] * 5, l_mul,
-                      [R.one, R.zero, R.one, R.zero, R.one], l_label,
-                      {"kind": "lst", "s": s, "t": t, "bases": (R,),
-                       "delta_digits": (0, None, 0, None, 0), "delta_relation": "eq"}, size_cap)
+    mul_s, mul_t = R.np_mul[s].tolist(), R.np_mul[t].tolist()
+    matrix = _matrix_label(R, _L_POSITIONS)
+    return _matrix_family(
+        f"L({s},{t})({R.name})", R, _L_POSITIONS,
+        {"kind": "lst", "s": s, "t": t, "bases": (R,),
+         "delta_digits": (0, None, 0, None, 0), "delta_relation": "eq"}, size_cap,
+        label=lambda a, c, d, e, f: matrix(a, mul_s[c], d, mul_t[e], f))
 
 
 def ks_ring(R: FiniteRing, s: int, size_cap: int = SIZE_CAP) -> FiniteRing:
@@ -371,21 +376,15 @@ def ks_ring(R: FiniteRing, s: int, size_cap: int = SIZE_CAP) -> FiniteRing:
     element_indices(R, [s], "s")
     if not is_central(R, s):
         raise NotCentral(f"s={s} is not central in {R.name}")
-    A, M = R.np_add, R.np_mul
-
-    def k_mul(a, x, y, b):
-        yield A[_pair(M, a, a), M[s][_pair(M, x, y)]]
-        yield A[_pair(M, a, x), _pair(M, x, b)]
-        yield A[_pair(M, y, a), _pair(M, b, y)]
-        yield A[M[s][_pair(M, y, x)], _pair(M, b, b)]
-
+    positions = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # the diagonal's off-diagonal routes: x y and y x scaled by s
+    routes = _closed_routes(positions, R.np_mul) | dict.fromkeys([(0, 1, 0), (1, 0, 1)],
+                                                                 R.np_mul[s][R.np_mul])
     meta = {"kind": "ks", "s": s, "bases": (R,)}
     if s == R.zero:
         meta.update(delta_digits=(0, None, None, 0), delta_relation="eq")
     sname = "0" if s == R.zero else str(s)
-    return _slot_ring(f"K{sname}({R.name})", [(A, R.zero)] * 4, k_mul,
-                      [R.one, R.zero, R.zero, R.one],
-                      lambda a, x, y, b: _matrix_label((a, x, y, b), R, 2), meta, size_cap)
+    return _matrix_family(f"K{sname}({R.name})", R, positions, meta, size_cap, routes)
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +439,13 @@ def validate_bimodule(S: FiniteRing, T: FiniteRing, M: BimoduleSpec):
     return G, L, Rt
 
 
-def _bimodule_ring(name, *args) -> FiniteRing:
-    """`_slot_ring` for a ring assembled from bimodules that passed
-    `validate_bimodule`: the component rings are valid, so an axiom the
-    assembled ring fails is a bimodule law that fails."""
+def _bimodule_ring(name, slots, positions, routes, *args) -> FiniteRing:
+    """`_slot_ring` multiplying by `_route_rule`, for a ring assembled from
+    bimodules that passed `validate_bimodule`: the component rings are valid,
+    so an axiom the assembled ring fails is a bimodule law that fails."""
     try:
-        return _slot_ring(name, *args)
+        return _slot_ring(name, slots, _route_rule(positions, routes, [G for G, _ in slots]),
+                          *args)
     except AxiomViolation as exc:
         raise BimoduleAxiomViolation(f"{name}: the bimodule laws fail ({exc})") from exc
 
@@ -461,14 +461,11 @@ def formal_triangular(S: FiniteRing, T: FiniteRing,
         M = self_bimodule(S)
     G, L, Rt = validate_bimodule(S, T, M)
 
-    def tri_mul(s, m, t):
-        yield _pair(S.np_mul, s, s)
-        yield G[L[s[:, None], m[None, :]], Rt[m[:, None], t[None, :]]]
-        yield _pair(T.np_mul, t, t)
-
+    # [[s,m],[0,t]]: S.S, S.M (left action), M.T (right action), T.T
+    routes = {(0, 0, 0): S.np_mul, (0, 0, 1): L, (0, 1, 1): Rt, (1, 1, 1): T.np_mul}
     return _bimodule_ring(f"Tri({S.name},{T.name})",
-                          [(S.np_add, S.zero), (G, M.zero), (T.np_add, T.zero)], tri_mul,
-                          [S.one, M.zero, T.one],
+                          [(S.np_add, S.zero), (G, M.zero), (T.np_add, T.zero)],
+                          [(0, 0), (0, 1), (1, 1)], routes, [S.one, M.zero, T.one],
                           lambda si, mi, ti: f"[[{S.label(si)},m{mi}],[0,{T.label(ti)}]]",
                           {"kind": "formal_triangular", "bases": (S, T),
                            "delta_digits": (0, None, 1), "delta_relation": "subset"}, size_cap)
@@ -488,15 +485,12 @@ def trivial_morita(A: FiniteRing, B: FiniteRing,
     GM, LM, RM = validate_bimodule(A, B, M)
     GN, LN, RN = validate_bimodule(B, A, N)
 
-    def morita_mul(a, m, n, b):
-        yield _pair(A.np_mul, a, a)                                  # MN = 0
-        yield GM[LM[a[:, None], m[None, :]], RM[m[:, None], b[None, :]]]
-        yield GN[RN[n[:, None], a[None, :]], LN[b[:, None], n[None, :]]]
-        yield _pair(B.np_mul, b, b)                                  # NM = 0
-
+    # [[a,m],[n,b]]: as Tri, plus N.A and B.N; no M.N or N.M route, so MN = 0 = NM
+    routes = {(0, 0, 0): A.np_mul, (0, 0, 1): LM, (0, 1, 1): RM,
+              (1, 0, 0): RN, (1, 1, 0): LN, (1, 1, 1): B.np_mul}
     return _bimodule_ring(f"Morita({A.name},{B.name})",
                           [(A.np_add, A.zero), (GM, M.zero), (GN, N.zero), (B.np_add, B.zero)],
-                          morita_mul, [A.one, M.zero, N.zero, B.one],
+                          [(0, 0), (0, 1), (1, 0), (1, 1)], routes, [A.one, M.zero, N.zero, B.one],
                           lambda ai, mi, ni, bi: f"[[{A.label(ai)},m{mi}],[n{ni},{B.label(bi)}]]",
                           {"kind": "trivial_morita", "bases": (A, B),
                            "delta_digits": (0, None, None, 1), "delta_relation": "subset"},

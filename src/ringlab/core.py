@@ -479,11 +479,13 @@ def _scan_laws(R: FiniteRing, laws: Sequence[str]) -> None:
 def _distributive_on(A: np.ndarray, M: np.ndarray, S: np.ndarray) -> bool:
     # Given (R,+) an abelian group, {y : a(x+y) = ax + ay for all a, x} is
     # closed under +, so holding on S it holds on R; likewise on the right.
-    for g in S:
-        if not np.array_equal(M[:, A[:, g]], A[M, M[:, g, None]]):
-            return False
-        if not np.array_equal(M[A[:, g]], A[M, M[None, g]]):
-            return False
+    # Row gathers over [a, x]: a(g+x) against ag + ax, then the same on M.T,
+    # (g+x)a against ga + xa (+ is commutative by now).
+    for P in (M, np.ascontiguousarray(M.T)):
+        for g in S:
+            if not np.array_equal(P.take(A[g], axis=1),
+                                  np.take_along_axis(A[P[:, g]], P, axis=1)):
+                return False
     return True
 
 
@@ -564,6 +566,8 @@ def validate_ring(name: str, zero: int, one: int,
     n = len(add)
     if n == 0 or len(mul) != n:
         raise DimensionMismatch(f"need two n x n tables, got add:{len(add)} mul:{len(mul)}")
+    if n > size_cap:        # before the tables are scanned
+        raise SizeCap(f"order {n} exceeds size cap {size_cap}")
     for t, tname in ((add, "add"), (mul, "mul")):
         _check_table(t, (n, n), n, tname)
     if not (_is_int(zero) and _is_int(one)):
@@ -572,8 +576,6 @@ def validate_ring(name: str, zero: int, one: int,
         raise DimensionMismatch("zero/one index out of range")
     if labels is not None and len(labels) != n:
         raise DimensionMismatch(f"labels has length {len(labels)}, expected {n}")
-    if n > size_cap:
-        raise SizeCap(f"order {n} exceeds size cap {size_cap}")
     if n > SIZE_WARN:
         warnings.warn(f"ring {name!r} has order {n} > {SIZE_WARN}; its right-ideal lattice "
                       "and predicates will be slow", stacklevel=2)

@@ -431,15 +431,14 @@ def is_semiprime_ideal(R: FiniteRing, I: ElementSet | int) -> bool:
 # cross-characterization driver
 
 def radical_characterizations(R: FiniteRing,
-                              lattice_cap: int = LATTICE_CAP,
-                              quantifier_cap: int = QUANTIFIER_CAP) -> dict[str, Optional[int]]:
+                              lattice_cap: int = LATTICE_CAP) -> dict[str, Optional[int]]:
     """All available characterizations of delta(R) as masks, read off the
     right-ideal lattice (which `lattice_cap` bounds).
 
     The production J, Soc and delta must equal the lattice's maximal-ideal
     intersection, sum of minimal right ideals and r1, or CrossCheckMismatch
     is raised.  r2/r4 quantify over the whole lattice and are gated to rings
-    of order <= quantifier_cap (None above it).
+    of order <= QUANTIFIER_CAP (None above it).
     """
     r1 = _zhou_by_essential(R, lattice_cap)
     for what, lattice, production in (
@@ -458,16 +457,15 @@ def radical_characterizations(R: FiniteRing,
         "r2": None,
         "r4": None,
     }
-    if R.order <= quantifier_cap:
+    if R.order <= QUANTIFIER_CAP:
         out["r2"] = r2_ideal_mask(R, lattice_cap)
         out["r4"] = r4_ideal_mask(R, lattice_cap)
     return out
 
 
 def assert_radical_agreement(R: FiniteRing,
-                             lattice_cap: int = LATTICE_CAP,
-                             quantifier_cap: int = QUANTIFIER_CAP) -> dict[str, Optional[int]]:
-    chars = radical_characterizations(R, lattice_cap, quantifier_cap)
+                             lattice_cap: int = LATTICE_CAP) -> dict[str, Optional[int]]:
+    chars = radical_characterizations(R, lattice_cap)
     reference = chars["r1"]
     for name, m in chars.items():
         if m is not None and m != reference:

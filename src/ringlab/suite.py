@@ -93,7 +93,6 @@ def build_corpus(spec: str = "default", size_cap: int = SIZE_CAP) -> tuple[str, 
 class SuiteContext:
     members: list[CorpusMember]
     lattice_cap: int = LATTICE_CAP
-    quantifier_cap: int = QUANTIFIER_CAP
     armendariz_cap: int = ARMENDARIZ_CAP
 
     def pred(self, R: FiniteRing, name: str) -> bool:
@@ -219,7 +218,7 @@ def _run_case(ctx: SuiteContext, case: Case, ring_outcomes: dict) -> CaseResult:
 
 def _radicals_agree(ctx, R) -> bool:
     # a disagreement raises CrossCheckMismatch, which _evaluate reports
-    assert_radical_agreement(R, ctx.lattice_cap, ctx.quantifier_cap)
+    assert_radical_agreement(R, ctx.lattice_cap)
     return True
 
 
@@ -434,16 +433,15 @@ CASES: tuple[Case, ...] = (
 def run_theorem_suite(members: list[CorpusMember],
                       corpus_spec: str = "default",
                       lattice_cap: int = LATTICE_CAP,
-                      quantifier_cap: int = QUANTIFIER_CAP,
                       armendariz_cap: int = ARMENDARIZ_CAP) -> "SuiteReport":
     """Run every case of CASES over the members, in one thread: the work is
     pure Python and numpy under the interpreter lock, so a pool of threads
     only adds overhead."""
-    ctx = SuiteContext(members, lattice_cap, quantifier_cap, armendariz_cap)
+    ctx = SuiteContext(members, lattice_cap, armendariz_cap)
     ring_outcomes = _warm(ctx)
     cases = [_run_case(ctx, case, ring_outcomes) for case in CASES]
     return SuiteReport(corpus_spec, members, cases,
-                       {"lattice_cap": lattice_cap, "quantifier_cap": quantifier_cap,
+                       {"lattice_cap": lattice_cap, "quantifier_cap": QUANTIFIER_CAP,
                         "armendariz_cap": armendariz_cap})
 
 

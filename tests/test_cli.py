@@ -278,11 +278,11 @@ def test_env_var_corpus(tmp_path, capsys, monkeypatch):
 OPTIONS = {
     "construct": ["--out", "--size-cap"],
     "radical": ["--out", "--format", "--which", "--all-characterizations", "--size-cap",
-                "--lattice-cap", "--quantifier-cap"],
+                "--lattice-cap"],
     "check": ["--out", "--format", "--props", "--size-cap", "--lattice-cap",
               "--armendariz-cap"],
     "suite": ["--out", "--format", "-v", "--corpus", "--jobs", "--size-cap", "--lattice-cap",
-              "--quantifier-cap", "--armendariz-cap"],
+              "--armendariz-cap"],
     "hunt": ["--implies", "--corpus", "--all", "--out", "--size-cap", "--lattice-cap",
              "--armendariz-cap"],
     "enumerate": ["--order", "--up-to-iso", "--out"],
@@ -338,6 +338,8 @@ def test_every_declared_option_is_read(tmp_path, capsys, argv):
     ["check", "Zn(4)", "--quantifier-cap", "1"],
     ["hunt", "--implies", "reversible => abelian", "--corpus", "Zn(4)", "-v"],
     ["enumerate", "--order", "4", "--size-cap", "2"],
+    ["radical", "Zn(4)", "--quantifier-cap", "1"],
+    ["suite", "--corpus", "Zn(4)", "--quantifier-cap", "1"],
 ])
 def test_a_removed_option_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

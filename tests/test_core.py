@@ -74,6 +74,20 @@ def test_size_cap():
         validate_ring("Z6", 0, 1, add, mul, size_cap=4)
 
 
+def test_size_cap_is_checked_before_the_tables_are_scanned(monkeypatch):
+    text = dumps_ring(make_zn(300))
+
+    def scan(*args):
+        raise AssertionError("_check_table scanned a table over the size cap")
+
+    monkeypatch.setattr(core, "_check_table", scan)
+    with pytest.raises(SizeCap):
+        loads_ring(text, size_cap=100)
+    # an oversized malformed table is refused by the cap as well
+    with pytest.raises(SizeCap):
+        validate_ring("bad", 0, 1, [[0, 1, 2]] * 6, [[0]] * 6, size_cap=4)
+
+
 def test_units_z4(zn):
     assert units(zn[4]).elems == (1, 3)
 

@@ -13,9 +13,9 @@ from .constructions import (
     parse_ring_expr, quotient_ring, ring_isomorphic, trivial_morita,
     two_sided_ideal_generated, upper_triangular_ring)
 from .ideals import (
-    IdealLattice, all_right_ideals, delta_sharp, is_delta_small,
-    is_direct_summand, is_essential, is_semiprime_ideal, jacobson_radical,
-    r5_membership, right_ideal_generated, socle, zhou_radical)
+    IdealLattice, all_right_ideals, delta_sharp, is_direct_summand,
+    is_essential, is_semiprime_ideal, jacobson_radical, right_ideal_generated,
+    socle, zhou_radical)
 from .predicates import (
     PREDICATES, PropertyReport, PropertyResult, evaluate_predicate,
     property_report)

@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .core import (
-    ARMENDARIZ_CAP, LATTICE_CAP, SIZE_CAP, TOOL_VERSION,
+    ARMENDARIZ_CAP, SIZE_CAP, TOOL_VERSION,
     CrossCheckMismatch, CharacterizationMismatch, RinglabError, SizeCap,
     dumps_ring, mask_elems, ring_to_json_dict)
 from .constructions import construct, enumerate_unital_rings
@@ -72,7 +71,7 @@ def cmd_radical(args) -> int:
     for w in which:
         payload["radicals"][w] = list(mask_elems(fns[w](ring)))
     if args.all_characterizations:
-        chars = radical_characterizations(ring, args.lattice_cap)
+        chars = radical_characterizations(ring)
         payload["characterizations"] = {
             k: (list(mask_elems(v)) if v is not None else None) for k, v in chars.items()}
         vals = [v for v in chars.values() if v is not None]
@@ -101,7 +100,7 @@ def cmd_check(args) -> int:
             print(f"unknown predicate {n!r}; known: {', '.join(sorted(PREDICATES))}",
                   file=sys.stderr)
             return 2
-    report = property_report(ring, names, args.lattice_cap, args.armendariz_cap)
+    report = property_report(ring, names, args.armendariz_cap)
     d = report.to_json_dict()
     if args.format == "json":
         _write(json.dumps(d, indent=1) + "\n", args.out)
@@ -115,18 +114,11 @@ def cmd_check(args) -> int:
     return 0 if all(r["verdict"] for r in d["results"].values()) else 1
 
 
-def _corpus(args) -> str:
-    # read at run time, not when the (cached) parser is built
-    return os.environ.get("RINGLAB_CORPUS", "default") if args.corpus is None else args.corpus
-
-
 def cmd_suite(args) -> int:
-    spec, members = build_corpus(_corpus(args), size_cap=args.size_cap)
+    spec, members = build_corpus(args.corpus, size_cap=args.size_cap)
     if args.verbose:
         print(f"corpus {spec}: {len(members)} members", file=sys.stderr)
-    report = run_theorem_suite(members, spec,
-                               lattice_cap=args.lattice_cap,
-                               armendariz_cap=args.armendariz_cap)
+    report = run_theorem_suite(members, spec, armendariz_cap=args.armendariz_cap)
     _write(report.to_json() if args.format == "json" else report.to_markdown(), args.out)
     if args.verbose:
         for c in report.cases:
@@ -149,10 +141,10 @@ def cmd_hunt(args) -> int:
         if n not in PREDICATES:
             print(f"unknown predicate {n!r}", file=sys.stderr)
             return 2
-    spec, members = build_corpus(_corpus(args), size_cap=args.size_cap)
+    spec, members = build_corpus(args.corpus, size_cap=args.size_cap)
     findings = hunt_counterexample(HuntQuery(antecedent, consequent,
                                              stop_at_first=not args.all),
-                                   members, args.lattice_cap, args.armendariz_cap)
+                                   members, args.armendariz_cap)
     payload = {"tool_version": TOOL_VERSION, "corpus": spec,
                "implication": f"{antecedent} => {consequent}",
                "counterexamples": [f.to_json_dict() for f in findings]}
@@ -177,8 +169,8 @@ _OPTIONS = {
     "out": (("--out",), dict(help="output path (default stdout)")),
     "format": (("--format",), dict(choices=("json", "markdown"), default="json")),
     "verbose": (("-v", "--verbose"), dict(action="store_true")),
-    "corpus": (("--corpus",), dict(help="corpus preset, expression list, or @file "
-                                        "(default: $RINGLAB_CORPUS, else 'default')")),
+    "corpus": (("--corpus",), dict(default="default",
+                                   help="corpus preset, expression list, or @file")),
     "jobs": (("--jobs",), dict(type=int, default=1, help="accepted for compatibility and "
                                                          "ignored: the suite runs in one thread")),
     "which": (("--which",), dict(help="comma list from: " + ", ".join(RADICALS))),
@@ -189,7 +181,6 @@ _OPTIONS = {
     "order": (("--order",), dict(type=int, required=True)),
     "up_to_iso": (("--up-to-iso",), dict(action="store_true")),
     "size_cap": (("--size-cap",), dict(type=int, default=SIZE_CAP)),
-    "lattice_cap": (("--lattice-cap",), dict(type=int, default=LATTICE_CAP)),
     "armendariz_cap": (("--armendariz-cap",), dict(type=int, default=ARMENDARIZ_CAP)),
 }
 
@@ -197,13 +188,13 @@ _OPTIONS = {
 _COMMANDS = {
     "construct": (cmd_construct, "build a ring and write its JSON", "ring out size_cap"),
     "radical": (cmd_radical, "compute radicals of a ring",
-                "ring out format which all_characterizations size_cap lattice_cap"),
+                "ring out format which all_characterizations size_cap"),
     "check": (cmd_check, "evaluate predicates on a ring",
-              "ring out format props size_cap lattice_cap armendariz_cap"),
+              "ring out format props size_cap armendariz_cap"),
     "suite": (cmd_suite, "run the theorem suite over a corpus",
-              "out format verbose corpus jobs size_cap lattice_cap armendariz_cap"),
+              "out format verbose corpus jobs size_cap armendariz_cap"),
     "hunt": (cmd_hunt, "hunt for a counterexample to an implication",
-             "implies corpus all out size_cap lattice_cap armendariz_cap"),
+             "implies corpus all out size_cap armendariz_cap"),
     "enumerate": (cmd_enumerate, "enumerate unital rings of a given order",
                   "order up_to_iso out"),
 }

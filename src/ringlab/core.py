@@ -22,13 +22,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-# Default size/effort caps.  Every cap is overridable per call; the CLI wires
-# them to flags.
+# Size and effort caps.  SIZE_CAP and ARMENDARIZ_CAP are defaults that a call
+# (and --size-cap, --armendariz-cap) may override; LATTICE_CAP and
+# QUANTIFIER_CAP are fixed.
 SIZE_WARN = 1024
 SIZE_CAP = 4096
-LATTICE_CAP = 100_000
+LATTICE_CAP = 100_000  # right ideals one lattice search may find
 ARMENDARIZ_CAP = 128
-QUANTIFIER_CAP = 32  # order bound for checks that quantify over the full ideal lattice
+QUANTIFIER_CAP = 32  # largest order at which the r2 and r4 routes to delta run
 
 TOOL_VERSION = "0.1.0"
 
@@ -651,8 +652,8 @@ def loads_ring(text: str, size_cap: int = SIZE_CAP) -> FiniteRing:
 # element-level machinery
 
 def _cached(R: FiniteRing, key, compute):
-    # Entries derived from the right-ideal lattice carry lattice_cap in their
-    # key, so a warm entry never bypasses the cap check in the lattice search.
+    # A key holds every argument that changes the value, such as the
+    # Armendariz cap of a predicate; LATTICE_CAP is a constant, not a key part.
     cache = R.cache
     if key not in cache:
         cache[key] = compute()

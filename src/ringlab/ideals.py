@@ -6,9 +6,10 @@ J and delta checks its value against a second lattice-free route (the left
 unit form of J; for delta, units modulo Soc read in R).  The lattice routes (r1, the
 pullback through the lattice socle and J, r2-r5) live in
 `radical_characterizations`, which T1 and `radical --all-characterizations`
-run, and which compares them with the production J, Soc and delta.
-`lattice_cap` bounds only the lattice and what is read off it.  Any
-disagreement raises CrossCheckMismatch.
+run, and which compares them with the production J, Soc and delta.  Any
+disagreement raises CrossCheckMismatch.  The constant `LATTICE_CAP`, read
+when the lattice search runs, bounds only the lattice: only these routes, T9
+and `local` build it.
 
 Subsets travel as int bitmasks.  Additive subgroups come from two kernels
 in `core`: `additive_span` (greedy generators and the subgroup they span;
@@ -90,14 +91,14 @@ def _lex_sorted(masks) -> tuple[int, ...]:
     return tuple(sorted(masks, key=lambda m: tuple(mask_iter(m))))
 
 
-def all_right_ideal_masks(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> tuple[int, ...]:
+def all_right_ideal_masks(R: FiniteRing) -> tuple[int, ...]:
     """Every right ideal, as the closure of {0} under adding cyclic ideals.
 
     Complete because a right ideal of a unital ring is the sum of the cyclic
     ideals of its own elements.  Each ideal I found is summed with every
     distinct nonzero cyclic ideal C in one scatter and one gather: x lies in
     I + C iff the label of x + I (`core.coset_labels`) is the label of a
-    member of C.
+    member of C.  More than `LATTICE_CAP` ideals raise LatticeCap.
     """
     def compute():
         n = R.order
@@ -117,18 +118,18 @@ def all_right_ideal_masks(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> tupl
             hits[rows, label[elems]] = True
             for S in row_masks(hits.take(label, axis=1)):
                 if S not in ideals:
-                    if len(ideals) >= lattice_cap:
+                    if len(ideals) >= LATTICE_CAP:
                         raise LatticeCap(
-                            f"{R.name}: more than {lattice_cap} right ideals")
+                            f"{R.name}: more than {LATTICE_CAP} right ideals")
                     ideals.add(S)
                     frontier.append(S)
         return _lex_sorted(ideals)
-    return _cached(R, ("lattice_masks", lattice_cap), compute)
+    return _cached(R, "lattice_masks", compute)
 
 
-def all_right_ideals(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> IdealLattice:
+def all_right_ideals(R: FiniteRing) -> IdealLattice:
     def compute():
-        masks = all_right_ideal_masks(R, lattice_cap)
+        masks = all_right_ideal_masks(R)
         full = R.full_mask()
         zero_bit = 1 << R.zero
         proper = [m for m in masks if m != full]
@@ -140,7 +141,7 @@ def all_right_ideals(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> IdealLatt
         ess_max = [m for m in maximal if is_essential_mask(R, m)]
         return IdealLattice(R, masks, _lex_sorted(maximal), _lex_sorted(minimal),
                             _lex_sorted(ess_max))
-    return _cached(R, ("lattice", lattice_cap), compute)
+    return _cached(R, "lattice", compute)
 
 
 def is_essential_mask(R: FiniteRing, E: int) -> bool:
@@ -233,36 +234,36 @@ def zhou_radical(R: FiniteRing) -> ElementSet:
 # ---------------------------------------------------------------------------
 # lattice routes to J, Soc and delta (the cross-check; no production call)
 
-def _socle_by_lattice(R: FiniteRing, lattice_cap: int) -> int:
+def _socle_by_lattice(R: FiniteRing) -> int:
     def compute():
         m = 1 << R.zero
-        for s in all_right_ideals(R, lattice_cap).minimal:
+        for s in all_right_ideals(R).minimal:
             m |= s
         return additive_span_mask(R, m)
-    return _cached(R, ("socle_lattice", lattice_cap), compute)
+    return _cached(R, "socle_lattice", compute)
 
 
-def _jacobson_by_lattice(R: FiniteRing, lattice_cap: int) -> int:
+def _jacobson_by_lattice(R: FiniteRing) -> int:
     m = R.full_mask()
-    for M in all_right_ideals(R, lattice_cap).maximal:
+    for M in all_right_ideals(R).maximal:
         m &= M
     return m
 
 
-def _zhou_by_essential(R: FiniteRing, lattice_cap: int) -> int:
+def _zhou_by_essential(R: FiniteRing) -> int:
     """r1: the intersection of the essential maximal right ideals (empty
     intersection = R, matching the semisimple case)."""
     m = R.full_mask()
-    for E in all_right_ideals(R, lattice_cap).essential_maximal:
+    for E in all_right_ideals(R).essential_maximal:
         m &= E
     return m
 
 
-def _zhou_by_socle_quotient(R: FiniteRing, lattice_cap: int) -> int:
+def _zhou_by_socle_quotient(R: FiniteRing) -> int:
     """The pullback of the lattice J(R/Soc) through the lattice socle."""
-    soc = _socle_by_lattice(R, lattice_cap)
+    soc = _socle_by_lattice(R)
     q = quotient_ring(R, element_set_from_mask(R, soc, "two-sided-ideal", check=False))
-    jq = _jacobson_by_lattice(q.ring, lattice_cap)
+    jq = _jacobson_by_lattice(q.ring)
     return mask_from_bool(bool_from_mask(jq, q.ring.order)[list(q.proj)])
 
 
@@ -282,10 +283,10 @@ def is_direct_summand(R: FiniteRing, K: ElementSet | int) -> bool:
     return m in summand_masks(R)
 
 
-def r3_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
+def r3_mask(R: FiniteRing) -> int:
     def compute():
         n = R.order
-        masks = all_right_ideal_masks(R, lattice_cap)
+        masks = all_right_ideal_masks(R)
         pops = {m: m.bit_count() for m in masks}
         summands = summand_masks(R)
         non_summands = [(m, pops[m]) for m in masks if m not in summands]
@@ -298,20 +299,16 @@ def r3_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
             if all(pI * pK != n * (I & K).bit_count() for K, pK in non_summands):
                 out |= 1 << x
         return out
-    return _cached(R, ("r3", lattice_cap), compute)
+    return _cached(R, "r3", compute)
 
 
-def r5_membership(R: FiniteRing, x: int, lattice_cap: int = LATTICE_CAP) -> bool:
+def r5_mask(R: FiniteRing) -> int:
     """x such that for every y some semisimple right ideal Y has
     (1 + xy)R directSum Y = R."""
-    return bool((r5_mask(R, lattice_cap) >> x) & 1)
-
-
-def r5_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
     def compute():
         n = R.order
-        soc = _socle_by_lattice(R, lattice_cap)
-        masks = all_right_ideal_masks(R, lattice_cap)
+        soc = _socle_by_lattice(R)
+        masks = all_right_ideal_masks(R)
         sem = [(Y, Y.bit_count()) for Y in masks if (Y | soc) == soc]
         cyc = cyclic_masks(R)
         zero_bit = 1 << R.zero
@@ -332,7 +329,7 @@ def r5_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
             if bool(ok[z_of_y].all()):
                 out |= 1 << x
         return out
-    return _cached(R, ("r5", lattice_cap), compute)
+    return _cached(R, "r5", compute)
 
 
 def _bound_mask(R: FiniteRing, M: int) -> int:
@@ -341,7 +338,7 @@ def _bound_mask(R: FiniteRing, M: int) -> int:
     return mask_from_bool(in_m & in_m[R.np_mul].all(axis=0))
 
 
-def r4_ideal_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
+def r4_ideal_mask(R: FiniteRing) -> int:
     """Intersection of the two-sided ideals P for which R/P has a simple right
     module, faithful over R/P and singular over R.
 
@@ -354,11 +351,11 @@ def r4_ideal_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
     """
     def compute():
         out = R.full_mask()
-        for M in all_right_ideals(R, lattice_cap).maximal:
+        for M in all_right_ideals(R).maximal:
             if _singular_quotient(R, M):
                 out &= _bound_mask(R, M)
         return out
-    return _cached(R, ("r4", lattice_cap), compute)
+    return _cached(R, "r4", compute)
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +370,12 @@ def _singular_quotient(R: FiniteRing, L: int) -> bool:
     return _cached(R, ("singular", L), compute)
 
 
-def is_delta_small_mask(R: FiniteRing, N: int, lattice_cap: int = LATTICE_CAP) -> bool:
+def is_delta_small_mask(R: FiniteRing, N: int) -> bool:
+    """N such that N + L = R with R/L singular forces L = R."""
     n = R.order
     full = R.full_mask()
     pN = N.bit_count()
-    for L in all_right_ideal_masks(R, lattice_cap):
+    for L in all_right_ideal_masks(R):
         if L == full:
             continue
         if pN * L.bit_count() != n * (N & L).bit_count():
@@ -387,20 +385,15 @@ def is_delta_small_mask(R: FiniteRing, N: int, lattice_cap: int = LATTICE_CAP) -
     return True
 
 
-def is_delta_small(R: FiniteRing, N: ElementSet, lattice_cap: int = LATTICE_CAP) -> bool:
-    """N such that N + L = R with R/L singular forces L = R."""
-    return is_delta_small_mask(R, N.mask, lattice_cap)
-
-
-def r2_ideal_mask(R: FiniteRing, lattice_cap: int = LATTICE_CAP) -> int:
+def r2_ideal_mask(R: FiniteRing) -> int:
     """Sum of all delta-small right ideals (the unique largest one)."""
     def compute():
         m = 1 << R.zero
-        for N in all_right_ideal_masks(R, lattice_cap):
-            if is_delta_small_mask(R, N, lattice_cap):
+        for N in all_right_ideal_masks(R):
+            if is_delta_small_mask(R, N):
                 m |= N
         return additive_span_mask(R, m)
-    return _cached(R, ("r2", lattice_cap), compute)
+    return _cached(R, "r2", compute)
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +423,20 @@ def is_semiprime_ideal(R: FiniteRing, I: ElementSet | int) -> bool:
 # ---------------------------------------------------------------------------
 # cross-characterization driver
 
-def radical_characterizations(R: FiniteRing,
-                              lattice_cap: int = LATTICE_CAP) -> dict[str, Optional[int]]:
+def radical_characterizations(R: FiniteRing) -> dict[str, Optional[int]]:
     """All available characterizations of delta(R) as masks, read off the
-    right-ideal lattice (which `lattice_cap` bounds).
+    right-ideal lattice.
 
     The production J, Soc and delta must equal the lattice's maximal-ideal
     intersection, sum of minimal right ideals and r1, or CrossCheckMismatch
-    is raised.  r2/r4 quantify over the whole lattice and are gated to rings
-    of order <= QUANTIFIER_CAP (None above it).
+    is raised.  r2 quantifies over every pair of right ideals and r4 checks
+    the singularity of R/M at each maximal right ideal M; both are gated to
+    rings of order <= QUANTIFIER_CAP (None above it).
     """
-    r1 = _zhou_by_essential(R, lattice_cap)
+    r1 = _zhou_by_essential(R)
     for what, lattice, production in (
-            ("J", _jacobson_by_lattice(R, lattice_cap), jacobson_radical_mask(R)),
-            ("Soc", _socle_by_lattice(R, lattice_cap), socle_mask(R)),
+            ("J", _jacobson_by_lattice(R), jacobson_radical_mask(R)),
+            ("Soc", _socle_by_lattice(R), socle_mask(R)),
             ("delta", r1, zhou_radical_mask(R))):
         if lattice != production:
             raise CrossCheckMismatch(
@@ -451,21 +444,20 @@ def radical_characterizations(R: FiniteRing,
                 f"!= lattice-free value {sorted(mask_iter(production))}")
     out: dict[str, Optional[int]] = {
         "r1": r1,
-        "pullback": _zhou_by_socle_quotient(R, lattice_cap),
-        "r3": r3_mask(R, lattice_cap),
-        "r5": r5_mask(R, lattice_cap),
+        "pullback": _zhou_by_socle_quotient(R),
+        "r3": r3_mask(R),
+        "r5": r5_mask(R),
         "r2": None,
         "r4": None,
     }
     if R.order <= QUANTIFIER_CAP:
-        out["r2"] = r2_ideal_mask(R, lattice_cap)
-        out["r4"] = r4_ideal_mask(R, lattice_cap)
+        out["r2"] = r2_ideal_mask(R)
+        out["r4"] = r4_ideal_mask(R)
     return out
 
 
-def assert_radical_agreement(R: FiniteRing,
-                             lattice_cap: int = LATTICE_CAP) -> dict[str, Optional[int]]:
-    chars = radical_characterizations(R, lattice_cap)
+def assert_radical_agreement(R: FiniteRing) -> dict[str, Optional[int]]:
+    chars = radical_characterizations(R)
     reference = chars["r1"]
     for name, m in chars.items():
         if m is not None and m != reference:

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
-    ARMENDARIZ_CAP, LATTICE_CAP, CharacterizationMismatch, CrossCheckMismatch,
+    ARMENDARIZ_CAP, CharacterizationMismatch, CrossCheckMismatch,
     FiniteRing, SizeCap, UnknownPredicate, _cached, array_from_mask, bool_from_mask,
     double_commutant_mask, idempotents_mask, mask_iter, nilpotents_mask,
 )
@@ -133,9 +133,9 @@ def is_semisimple(R: FiniteRing, **_) -> PropertyResult:
     return PropertyResult(by_delta, None, "delta(R) = R, cross-checked with J(R) = 0")
 
 
-def is_local(R: FiniteRing, lattice_cap: int = LATTICE_CAP, **_) -> PropertyResult:
+def is_local(R: FiniteRing, **_) -> PropertyResult:
     """Exactly one maximal right ideal."""
-    lat = all_right_ideals(R, lattice_cap)
+    lat = all_right_ideals(R)
     return PropertyResult(len(lat.maximal) == 1, None,
                           f"{len(lat.maximal)} maximal right ideals")
 
@@ -276,17 +276,15 @@ def predicate(name: str) -> Callable[..., PropertyResult]:
             f"unknown predicate {name!r}; known: {', '.join(sorted(PREDICATES))}") from None
 
 
-def evaluate_predicate(R: FiniteRing, name: str, lattice_cap: int = LATTICE_CAP,
+def evaluate_predicate(R: FiniteRing, name: str,
                        armendariz_cap: int = ARMENDARIZ_CAP) -> PropertyResult:
-    key = ("pred", name, lattice_cap,
-           armendariz_cap if name == "delta-linear-armendariz" else 0)
-    return _cached(R, key, lambda: predicate(name)(R, lattice_cap=lattice_cap,
-                                                   armendariz_cap=armendariz_cap))
+    key = ("pred", name, armendariz_cap if name == "delta-linear-armendariz" else 0)
+    return _cached(R, key, lambda: predicate(name)(R, armendariz_cap=armendariz_cap))
 
 
-def property_report(R: FiniteRing, names, lattice_cap: int = LATTICE_CAP,
+def property_report(R: FiniteRing, names,
                     armendariz_cap: int = ARMENDARIZ_CAP) -> PropertyReport:
     report = PropertyReport(R.name)
     for name in names:
-        report.results[name] = evaluate_predicate(R, name, lattice_cap, armendariz_cap)
+        report.results[name] = evaluate_predicate(R, name, armendariz_cap)
     return report

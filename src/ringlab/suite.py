@@ -92,14 +92,13 @@ def build_corpus(spec: str = "default", size_cap: int = SIZE_CAP) -> tuple[str, 
 @dataclass
 class SuiteContext:
     members: list[CorpusMember]
-    lattice_cap: int = LATTICE_CAP
     armendariz_cap: int = ARMENDARIZ_CAP
 
     def pred(self, R: FiniteRing, name: str) -> bool:
-        return evaluate_predicate(R, name, self.lattice_cap, self.armendariz_cap).verdict
+        return evaluate_predicate(R, name, self.armendariz_cap).verdict
 
     def pred_result(self, R: FiniteRing, name: str):
-        return evaluate_predicate(R, name, self.lattice_cap, self.armendariz_cap)
+        return evaluate_predicate(R, name, self.armendariz_cap)
 
     def delta(self, R: FiniteRing) -> int:
         return zhou_radical_mask(R)
@@ -218,7 +217,7 @@ def _run_case(ctx: SuiteContext, case: Case, ring_outcomes: dict) -> CaseResult:
 
 def _radicals_agree(ctx, R) -> bool:
     # a disagreement raises CrossCheckMismatch, which _evaluate reports
-    assert_radical_agreement(R, ctx.lattice_cap)
+    assert_radical_agreement(R)
     return True
 
 
@@ -232,7 +231,7 @@ def _ideal_products(ctx, R):
     M = R.np_mul
     MT = np.ascontiguousarray(M.T)      # row a of MT is the column R a
     checked = 0
-    for I in all_right_ideal_masks(R, ctx.lattice_cap):
+    for I in all_right_ideal_masks(R):
         arr = array_from_mask(I, R.order)
         in_I = bool_from_mask(I, R.order)
         if not in_I[MT[arr]].all():
@@ -432,16 +431,15 @@ CASES: tuple[Case, ...] = (
 
 def run_theorem_suite(members: list[CorpusMember],
                       corpus_spec: str = "default",
-                      lattice_cap: int = LATTICE_CAP,
                       armendariz_cap: int = ARMENDARIZ_CAP) -> "SuiteReport":
     """Run every case of CASES over the members, in one thread: the work is
     pure Python and numpy under the interpreter lock, so a pool of threads
     only adds overhead."""
-    ctx = SuiteContext(members, lattice_cap, armendariz_cap)
+    ctx = SuiteContext(members, armendariz_cap)
     ring_outcomes = _warm(ctx)
     cases = [_run_case(ctx, case, ring_outcomes) for case in CASES]
     return SuiteReport(corpus_spec, members, cases,
-                       {"lattice_cap": lattice_cap, "quantifier_cap": QUANTIFIER_CAP,
+                       {"lattice_cap": LATTICE_CAP, "quantifier_cap": QUANTIFIER_CAP,
                         "armendariz_cap": armendariz_cap})
 
 
@@ -517,10 +515,9 @@ class HuntFinding:
 
 
 def hunt_counterexample(query: HuntQuery, members: list[CorpusMember],
-                        lattice_cap: int = LATTICE_CAP,
                         armendariz_cap: int = ARMENDARIZ_CAP) -> list[HuntFinding]:
     """Corpus rings satisfying the antecedent but not the consequent, in corpus order."""
-    ctx = SuiteContext(members, lattice_cap, armendariz_cap=armendariz_cap)
+    ctx = SuiteContext(members, armendariz_cap)
     claim = Case("hunt", "", query.consequent, query.antecedent,
                  detail=f"{query.antecedent} holds but {query.consequent} fails")
     findings: list[HuntFinding] = []

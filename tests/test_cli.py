@@ -1,11 +1,15 @@
 import argparse
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from ringlab import ideals
 from ringlab.cli import _parser, main
+from ringlab.constructions import construct
 
 from test_core import BAD_LABELS, BAD_NAMES, NON_INTEGER_ENTRIES, Z2_JSON, with_entry
 
@@ -44,13 +48,14 @@ def test_construct_hst_order(tmp_path, capsys):
     assert "order 64" in printed
 
 
-def test_lattice_cap_bounds_only_lattice_routes(capsys):
+def test_lattice_cap_bounds_only_lattice_routes(capsys, monkeypatch):
     # Zn(4) has 3 right ideals: the lattice-free delta ignores a cap of 2,
     # the lattice routes of --all-characterizations stop at it
-    code, out, _ = run_cli("radical", "Zn(4)", "--which", "delta", "--lattice-cap", "2",
-                           capsys=capsys)
+    construct("Zn(4)").cache.clear()
+    monkeypatch.setattr(ideals, "LATTICE_CAP", 2)
+    code, out, _ = run_cli("radical", "Zn(4)", "--which", "delta", capsys=capsys)
     assert code == 0 and json.loads(out)["radicals"]["delta"] == [0, 2]
-    code, _, err = run_cli("radical", "Zn(4)", "--which", "delta", "--lattice-cap", "2",
+    code, _, err = run_cli("radical", "Zn(4)", "--which", "delta",
                            "--all-characterizations", capsys=capsys)
     assert code == 2 and "more than 2 right ideals" in err
 
@@ -264,12 +269,10 @@ def test_installed_entry_point():
     assert "ringlab" in proc.stdout
 
 
-def test_env_var_corpus(tmp_path, capsys, monkeypatch):
+def test_env_var_corpus(monkeypatch):
+    # only --corpus picks the corpus; the environment does not
     monkeypatch.setenv("RINGLAB_CORPUS", "Zn(4)")
-    out = tmp_path / "report.json"
-    code, _, _ = run_cli("suite", "--out", str(out), capsys=capsys)
-    assert code == 0
-    assert json.loads(out.read_text())["corpus_size"] == 1
+    assert _parser().parse_args(["suite"]).corpus == "default"
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +280,11 @@ def test_env_var_corpus(tmp_path, capsys, monkeypatch):
 
 OPTIONS = {
     "construct": ["--out", "--size-cap"],
-    "radical": ["--out", "--format", "--which", "--all-characterizations", "--size-cap",
-                "--lattice-cap"],
-    "check": ["--out", "--format", "--props", "--size-cap", "--lattice-cap",
+    "radical": ["--out", "--format", "--which", "--all-characterizations", "--size-cap"],
+    "check": ["--out", "--format", "--props", "--size-cap", "--armendariz-cap"],
+    "suite": ["--out", "--format", "-v", "--corpus", "--jobs", "--size-cap",
               "--armendariz-cap"],
-    "suite": ["--out", "--format", "-v", "--corpus", "--jobs", "--size-cap", "--lattice-cap",
-              "--armendariz-cap"],
-    "hunt": ["--implies", "--corpus", "--all", "--out", "--size-cap", "--lattice-cap",
-             "--armendariz-cap"],
+    "hunt": ["--implies", "--corpus", "--all", "--out", "--size-cap", "--armendariz-cap"],
     "enumerate": ["--order", "--up-to-iso", "--out"],
 }
 
@@ -340,9 +340,35 @@ def test_every_declared_option_is_read(tmp_path, capsys, argv):
     ["enumerate", "--order", "4", "--size-cap", "2"],
     ["radical", "Zn(4)", "--quantifier-cap", "1"],
     ["suite", "--corpus", "Zn(4)", "--quantifier-cap", "1"],
+    ["radical", "Zn(4)", "--lattice-cap", "2"],
+    ["check", "Zn(4)", "--lattice-cap", "2"],
+    ["suite", "--corpus", "Zn(4)", "--lattice-cap", "2"],
+    ["hunt", "--implies", "reversible => abelian", "--corpus", "Zn(4)", "--lattice-cap", "2"],
 ])
 def test_a_removed_option_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _benchmark_argvs() -> list:
+    """Every argv shape that perfbench/workloads.py passes to the CLI."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs = [workloads.SUITE_ARGV]
+    for _, _, exprs in workloads.QUERY_STRATA:
+        argvs += workloads.query_argvs(exprs[0])
+    return argvs + [["construct", expr] for expr in workloads.ROUNDTRIP_SET]
+
+
+@pytest.mark.parametrize("argv", _benchmark_argvs())
+def test_benchmark_argv_parses(argv):
+    # a usage error raises SystemExit, which is not an Exception: it would
+    # kill a benchmark worker instead of failing one operation
+    try:
+        _parser().parse_args(argv)
+    except SystemExit as exc:
+        pytest.fail(f"{argv} is a usage error (exit {exc.code})")

@@ -5,7 +5,7 @@ import pytest
 
 from ringlab import core, ideals
 from ringlab.core import (
-    LATTICE_CAP, QUANTIFIER_CAP, CrossCheckMismatch, DimensionMismatch, FiniteRing, LatticeCap,
+    QUANTIFIER_CAP, CrossCheckMismatch, DimensionMismatch, FiniteRing, LatticeCap,
     array_from_mask, bool_from_mask, element_set, element_set_from_mask, mask_elems,
     mask_from_bool, mask_of, units_mask)
 from ringlab.constructions import (
@@ -14,10 +14,10 @@ from ringlab.constructions import (
 from ringlab.ideals import (
     _jacobson_by_lattice, _socle_by_lattice, _zhou_by_essential, _zhou_by_socle_quotient,
     all_right_ideal_masks, all_right_ideals, assert_radical_agreement, delta_sharp,
-    delta_sharp_mask, is_delta_small, is_direct_summand, is_essential, is_semiprime_ideal,
-    jacobson_radical, jacobson_radical_mask, r2_ideal_mask, r3_mask, r4_ideal_mask, r5_mask,
-    r5_membership, radical_characterizations, right_ideal_generated, socle, socle_mask,
-    summand_masks, zhou_radical, zhou_radical_mask)
+    delta_sharp_mask, is_delta_small_mask, is_direct_summand, is_essential,
+    is_semiprime_ideal, jacobson_radical, jacobson_radical_mask, r2_ideal_mask, r3_mask,
+    r4_ideal_mask, r5_mask, radical_characterizations, right_ideal_generated, socle,
+    socle_mask, summand_masks, zhou_radical, zhou_radical_mask)
 from ringlab.predicates import evaluate_predicate
 
 
@@ -100,7 +100,7 @@ def test_r3_matches_delta_on_z4(zn):
 
 def test_r5_zero_always_member(zn, t2z2, k0z2):
     for R in (zn[4], zn[6], t2z2, k0z2):
-        assert r5_membership(R, R.zero)
+        assert (r5_mask(R) >> R.zero) & 1
 
 
 def test_r4_matches_delta_on_z4(zn):
@@ -109,11 +109,11 @@ def test_r4_matches_delta_on_z4(zn):
 
 def test_delta_small_examples(zn, t2z2):
     Z4 = zn[4]
-    assert is_delta_small(Z4, element_set(Z4, [0], check=False))
-    assert is_delta_small(Z4, zhou_radical(Z4))
+    assert is_delta_small_mask(Z4, mask_of([0]))
+    assert is_delta_small_mask(Z4, zhou_radical_mask(Z4))
     # N = R in a non-semisimple ring is not delta-small
-    assert not is_delta_small(Z4, element_set(Z4, range(4), check=False))
-    assert not is_delta_small(t2z2, element_set(t2z2, range(8), check=False))
+    assert not is_delta_small_mask(Z4, Z4.full_mask())
+    assert not is_delta_small_mask(t2z2, t2z2.full_mask())
 
 
 def test_delta_is_largest_delta_small(zn, t2z2, k0z2):
@@ -122,7 +122,7 @@ def test_delta_is_largest_delta_small(zn, t2z2, k0z2):
         assert r2_ideal_mask(R) == d
         for m in all_right_ideals(R).masks:
             if m | d != d and (m | d) == m:  # strictly contains delta
-                assert not is_delta_small(R, element_set(R, mask_elems(m), check=False))
+                assert not is_delta_small_mask(R, m)
 
 
 def test_delta_sharp_z4(zn):
@@ -208,9 +208,9 @@ def test_maximal_right_ideals_satisfy_definition(zn, t2z2):
             assert is_max == (m in lat.maximal)
 
 
-def _outcome(fn, R, cap):
+def _outcome(fn, R):
     try:
-        return ("value", fn(R, cap))
+        return ("value", fn(R))
     except LatticeCap:
         return ("raises", "LatticeCap")
 
@@ -221,35 +221,34 @@ LATTICE_BACKED = {
     "r3": r3_mask,
     "r5": r5_mask,
     "characterizations": radical_characterizations,
-    "local": lambda R, cap: evaluate_predicate(R, "local", cap).verdict,
+    "local": lambda R: evaluate_predicate(R, "local").verdict,
 }
 # Calls that never build it: the cap does not reach them.
 LATTICE_FREE = {
-    "zhou": lambda R, cap: zhou_radical_mask(R),
-    "jacobson": lambda R, cap: jacobson_radical_mask(R),
-    "socle": lambda R, cap: socle_mask(R),
-    "delta_sharp": lambda R, cap: delta_sharp_mask(R),
-    "delta-reversible": lambda R, cap: evaluate_predicate(R, "delta-reversible", cap).verdict,
+    "zhou": zhou_radical_mask,
+    "jacobson": jacobson_radical_mask,
+    "socle": socle_mask,
+    "delta_sharp": delta_sharp_mask,
+    "delta-reversible": lambda R: evaluate_predicate(R, "delta-reversible").verdict,
 }
 
 
 @pytest.mark.parametrize("name", [*LATTICE_BACKED, *LATTICE_FREE])
 @pytest.mark.parametrize("cap", [2, 8])
-def test_lattice_cap_same_cold_and_warm(name, cap):
-    # F2 x F2 x F2 has exactly 8 right ideals: a lattice-backed call raises at
-    # cap 2 and not at cap 8, cold or warm; a lattice-free call returns the
-    # same value at every cap, cold or after a lattice-warming call
+def test_lattice_cap_same_cold_and_warm(name, cap, monkeypatch):
+    # F2 x F2 x F2 has exactly 8 right ideals: on a cold cache a lattice-backed
+    # call raises at cap 2 and returns its warm value at cap 8; a lattice-free
+    # call returns its warm value at both
     fn = LATTICE_BACKED.get(name) or LATTICE_FREE[name]
     R = construct("Prod(Zn(2),Zn(2),Zn(2))")
+    warm = ("value", fn(R))
     R.cache.clear()
-    cold = _outcome(fn, R, cap)
-    full = fn(R, LATTICE_CAP)
-    radical_characterizations(R, LATTICE_CAP)
-    assert _outcome(fn, R, cap) == cold
-    if name in LATTICE_BACKED:
-        assert cold[0] == ("raises" if cap < 8 else "value")
+    monkeypatch.setattr(ideals, "LATTICE_CAP", cap)
+    cold = _outcome(fn, R)
+    if name in LATTICE_BACKED and cap < 8:
+        assert cold == ("raises", "LatticeCap")
     else:
-        assert cold == ("value", full)
+        assert cold == warm
 
 
 def brute_force_right_ideals(R):
@@ -344,11 +343,11 @@ def test_delta_matches_lattice_free_route(default_corpus):
     assert len(tables) == 149
     for R in tables.values():
         J = jacobson_radical_mask(R)
-        assert J == _jacobson_by_lattice(R, LATTICE_CAP) == jacobson_by_units_loop(R), R.name
-        assert socle_mask(R) == _socle_by_lattice(R, LATTICE_CAP), R.name
+        assert J == _jacobson_by_lattice(R) == jacobson_by_units_loop(R), R.name
+        assert socle_mask(R) == _socle_by_lattice(R), R.name
         d = zhou_radical_mask(R)
-        assert d == _zhou_by_essential(R, LATTICE_CAP), R.name
-        assert d == _zhou_by_socle_quotient(R, LATTICE_CAP) == lattice_free_delta(R), R.name
+        assert d == _zhou_by_essential(R), R.name
+        assert d == _zhou_by_socle_quotient(R) == lattice_free_delta(R), R.name
 
 
 @pytest.mark.parametrize("which", ["jacobson_radical_mask", "socle_mask", "zhou_radical_mask"])
@@ -385,11 +384,11 @@ def test_lattice_routes_call_no_production_radical(zn, t2z2, k0z2, monkeypatch):
         monkeypatch.setattr(ideals, name, refuse)
     for R, chars, s in zip(rings, want, soc):
         R.cache.clear()
-        got = {"r1": _zhou_by_essential(R, LATTICE_CAP),
-               "pullback": _zhou_by_socle_quotient(R, LATTICE_CAP),
+        got = {"r1": _zhou_by_essential(R),
+               "pullback": _zhou_by_socle_quotient(R),
                "r3": r3_mask(R), "r5": r5_mask(R), "r2": r2_ideal_mask(R),
                "r4": r4_ideal_mask(R)}
-        assert got == chars and _socle_by_lattice(R, LATTICE_CAP) == s, R.name
+        assert got == chars and _socle_by_lattice(R) == s, R.name
         R.cache.clear()
 
 

@@ -28,7 +28,7 @@ from ringlab.constructions import (
     corner_ring, enumerate_unital_rings, is_right_ideal_mask, is_two_sided_mask,
     quotient_ring, two_sided_ideal_generated)
 from ringlab.core import (
-    ARMENDARIZ_CAP, LATTICE_CAP, AxiomViolation, CharacterizationMismatch, array_from_mask,
+    ARMENDARIZ_CAP, AxiomViolation, CharacterizationMismatch, array_from_mask,
     bool_from_mask, double_commutant_mask, element_set, element_set_from_mask,
     idempotents_mask, mask_elems, mask_from_bool, mask_of, nilpotents_mask, units_mask)
 from ringlab.ideals import (
@@ -507,7 +507,7 @@ def test_ideal_products_match_column_loop(rings):
     seen = set()
     for R in rings:
         for d in radical_stand_ins(R, rng):
-            ctx = SimpleNamespace(delta=lambda _, d=d: d, lattice_cap=LATTICE_CAP)
+            ctx = SimpleNamespace(delta=lambda _, d=d: d)
             got = _ideal_products(ctx, R)
             assert got == ideal_products_oracle(R, d), (R.name, d)
             seen.add(got[1] is None)

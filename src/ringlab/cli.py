@@ -16,9 +16,8 @@ import json
 import sys
 
 from .core import (
-    ARMENDARIZ_CAP, SIZE_CAP, TOOL_VERSION,
-    CrossCheckMismatch, CharacterizationMismatch, RinglabError, SizeCap,
-    dumps_ring, mask_elems, ring_to_json_dict)
+    ARMENDARIZ_CAP, TOOL_VERSION, CrossCheckMismatch, CharacterizationMismatch, RinglabError,
+    SizeCap, dumps_ring, mask_elems, ring_to_json_dict)
 from .constructions import construct, enumerate_unital_rings
 from .ideals import (
     delta_sharp_mask, jacobson_radical_mask, radical_characterizations,
@@ -38,7 +37,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _load_ring(args) -> "FiniteRing":
-    return construct(args.ring, size_cap=args.size_cap)
+    return construct(args.ring)
 
 
 def cmd_construct(args) -> int:
@@ -115,7 +114,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    spec, members = build_corpus(args.corpus, size_cap=args.size_cap)
+    spec, members = build_corpus(args.corpus)
     if args.verbose:
         print(f"corpus {spec}: {len(members)} members", file=sys.stderr)
     report = run_theorem_suite(members, spec, armendariz_cap=args.armendariz_cap)
@@ -141,7 +140,7 @@ def cmd_hunt(args) -> int:
         if n not in PREDICATES:
             print(f"unknown predicate {n!r}", file=sys.stderr)
             return 2
-    spec, members = build_corpus(args.corpus, size_cap=args.size_cap)
+    spec, members = build_corpus(args.corpus)
     findings = hunt_counterexample(HuntQuery(antecedent, consequent,
                                              stop_at_first=not args.all),
                                    members, args.armendariz_cap)
@@ -180,21 +179,19 @@ _OPTIONS = {
     "all": (("--all",), dict(action="store_true", help="collect all counterexamples")),
     "order": (("--order",), dict(type=int, required=True)),
     "up_to_iso": (("--up-to-iso",), dict(action="store_true")),
-    "size_cap": (("--size-cap",), dict(type=int, default=SIZE_CAP)),
     "armendariz_cap": (("--armendariz-cap",), dict(type=int, default=ARMENDARIZ_CAP)),
 }
 
 # Each subcommand: its function, its help, and exactly the options the function reads.
 _COMMANDS = {
-    "construct": (cmd_construct, "build a ring and write its JSON", "ring out size_cap"),
+    "construct": (cmd_construct, "build a ring and write its JSON", "ring out"),
     "radical": (cmd_radical, "compute radicals of a ring",
-                "ring out format which all_characterizations size_cap"),
-    "check": (cmd_check, "evaluate predicates on a ring",
-              "ring out format props size_cap armendariz_cap"),
+                "ring out format which all_characterizations"),
+    "check": (cmd_check, "evaluate predicates on a ring", "ring out format props armendariz_cap"),
     "suite": (cmd_suite, "run the theorem suite over a corpus",
-              "out format verbose corpus jobs size_cap armendariz_cap"),
+              "out format verbose corpus jobs armendariz_cap"),
     "hunt": (cmd_hunt, "hunt for a counterexample to an implication",
-             "implies corpus all out size_cap armendariz_cap"),
+             "implies corpus all out armendariz_cap"),
     "enumerate": (cmd_enumerate, "enumerate unital rings of a given order",
                   "order up_to_iso out"),
 }

@@ -28,24 +28,23 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import (
-    SIZE_CAP, AxiomViolation, BimoduleAxiomViolation, ClosureViolation,
-    DimensionMismatch, ElementSet, FiniteRing, NotCentral, NotCentralUnit, NotIdempotent,
-    NotTwoSidedIdeal, ParseError, SizeCap, _cached, _check_table, _is_int, additive_span,
-    bool_from_mask, check_ring_axioms, coset_labels, element_indices, element_set_from_mask,
+    AxiomViolation, BimoduleAxiomViolation, ClosureViolation, DimensionMismatch,
+    ElementSet, FiniteRing, NotCentral, NotCentralUnit, NotIdempotent, NotTwoSidedIdeal,
+    ParseError, SizeCap, _cached, _check_table, _is_int, additive_span, bool_from_mask,
+    check_ring_axioms, check_size, coset_labels, element_indices, element_set_from_mask,
     ideal_failure, is_central, loads_ring, mask_from_bool, nilpotents_mask,
     idempotents_mask, units_mask,
 )
 
 
-def _validated(name, zero, one, add, mul, labels=None, meta=None,
-               size_cap: int = SIZE_CAP) -> FiniteRing:
+def _validated(name, zero, one, add, mul, labels=None, meta=None) -> FiniteRing:
     """Axiom validation, run once per table digest: the per-digest cache
     remembers that a table was proven valid.
 
     add and mul may be integer arrays; FiniteRing stores them as int32.
-    labels may be any iterable; it is read only once validation passes."""
-    if len(add) > size_cap:
-        raise SizeCap(f"order {len(add)} exceeds size cap {size_cap}")
+    labels may be any iterable; it is read only once validation passes.  The
+    size is the caller's: `make_zn` and `_slot_ring` check it, and corners,
+    quotients and enumerated rings are no larger than a ring that passed."""
     R = FiniteRing(name, zero, one, add, mul, None, meta)
     _cached(R, "validated", lambda: check_ring_axioms(R))
     if labels is not None:
@@ -131,42 +130,39 @@ def _closed_routes(positions, table) -> dict:
             if u == t and (i, j) in inside}
 
 
-def _slot_ring(name, slots, mul_slots, one, label, meta, size_cap) -> FiniteRing:
+def _slot_ring(name, slots, mul_slots, one, label, meta) -> FiniteRing:
     """The ring on mixed-radix tuples of slots, most significant first.
 
     `slots` holds one (additive table, zero) pair per slot, and addition is
     slot-wise.  `mul_slots(*digits)`, given the digit vector of every slot
     over all elements, returns (or yields) the product's slot tables.  `one`
     is the identity's digit tuple and `label(*digits)` names one element.
-    The size cap is checked before any table is allocated; `dims` joins meta.
+    `check_size` runs before any table is allocated; `dims` joins meta.
     """
     dims = [len(A) for A, _ in slots]
-    order = math.prod(dims)
-    if order > size_cap:
-        raise SizeCap(f"{name} would have order {order} > size cap {size_cap}")
+    check_size(name, math.prod(dims))
     digs = _digit_grids(dims)
     add = _encode_slots((_pair(A, d, d) for (A, _), d in zip(slots, digs)), dims)
     mul = _encode_slots(mul_slots(*digs), dims)
     labels = (label(*d) for d in itertools.product(*map(range, dims)))
     return _validated(name, encode_digits([z for _, z in slots], dims), encode_digits(one, dims),
-                      add, mul, labels, {**meta, "dims": dims}, size_cap)
+                      add, mul, labels, {**meta, "dims": dims})
 
 
 # ---------------------------------------------------------------------------
 # basic constructions
 
-def make_zn(k: int, size_cap: int = SIZE_CAP) -> FiniteRing:
+def make_zn(k: int) -> FiniteRing:
     """The ring of integers modulo k (the zero ring for k = 1)."""
     if k < 1:
         raise DimensionMismatch("k must be >= 1")
-    if k > size_cap:
-        raise SizeCap(f"Z{k} would have order {k} > size cap {size_cap}")
+    check_size(f"Z{k}", k)
     x = np.arange(k)
     return _validated(f"Z{k}", 0, 1 % k, (x[:, None] + x) % k, (x[:, None] * x) % k,
-                      map(str, range(k)), {"kind": "zn", "k": k}, size_cap)
+                      map(str, range(k)), {"kind": "zn", "k": k})
 
 
-def direct_product(parts: Sequence[FiniteRing], size_cap: int = SIZE_CAP) -> FiniteRing:
+def direct_product(parts: Sequence[FiniteRing]) -> FiniteRing:
     """Componentwise product; element index encodes the component tuple."""
     if not parts:
         raise DimensionMismatch("need at least one factor")
@@ -178,7 +174,7 @@ def direct_product(parts: Sequence[FiniteRing], size_cap: int = SIZE_CAP) -> Fin
         [R.one for R in parts],
         lambda *ds: "(" + ",".join(R.label(d) for R, d in zip(parts, ds)) + ")",
         {"kind": "product", "bases": tuple(parts),
-         "delta_digits": tuple(range(len(parts))), "delta_relation": "eq"}, size_cap)
+         "delta_digits": tuple(range(len(parts))), "delta_relation": "eq"})
 
 
 def _matrix_label(R: FiniteRing, positions):
@@ -192,7 +188,7 @@ def _matrix_label(R: FiniteRing, positions):
     return lambda *entries: template.format(*map(R.label, entries))
 
 
-def _matrix_family(name, R, positions, meta, size_cap, routes=None, label=None):
+def _matrix_family(name, R, positions, meta, routes=None, label=None):
     """The ring of square matrices over R supported on `positions` (row-major),
     multiplied by `_route_rule`: by default every route goes through R's
     product.  The identity is R's one down the diagonal."""
@@ -201,10 +197,10 @@ def _matrix_family(name, R, positions, meta, size_cap, routes=None, label=None):
         name, [(R.np_add, R.zero)] * k,
         _route_rule(positions, routes or _closed_routes(positions, R.np_mul), [R.np_add] * k),
         [R.one if i == j else R.zero for i, j in positions],
-        label or _matrix_label(R, positions), meta, size_cap)
+        label or _matrix_label(R, positions), meta)
 
 
-def matrix_ring(n: int, R: FiniteRing, size_cap: int = SIZE_CAP) -> FiniteRing:
+def matrix_ring(n: int, R: FiniteRing) -> FiniteRing:
     """Full n x n matrix ring; entries are encoded row-major."""
     if n < 1:
         raise DimensionMismatch("n must be >= 1")
@@ -212,10 +208,10 @@ def matrix_ring(n: int, R: FiniteRing, size_cap: int = SIZE_CAP) -> FiniteRing:
         return R
     return _matrix_family(f"M{n}({R.name})", R, [(i, j) for i in range(n) for j in range(n)],
                           {"kind": "matrix", "n": n, "bases": (R,),
-                           "delta_digits": (0,) * (n * n), "delta_relation": "eq"}, size_cap)
+                           "delta_digits": (0,) * (n * n), "delta_relation": "eq"})
 
 
-def upper_triangular_ring(n: int, R: FiniteRing, size_cap: int = SIZE_CAP) -> FiniteRing:
+def upper_triangular_ring(n: int, R: FiniteRing) -> FiniteRing:
     """Upper triangular n x n matrices; free slots are (i, j) with i <= j, row-major."""
     if n < 1:
         raise DimensionMismatch("n must be >= 1")
@@ -225,7 +221,7 @@ def upper_triangular_ring(n: int, R: FiniteRing, size_cap: int = SIZE_CAP) -> Fi
     return _matrix_family(f"T{n}({R.name})", R, positions,
                           {"kind": "triangular", "n": n, "bases": (R,),
                            "delta_digits": tuple(0 if i == j else None for i, j in positions),
-                           "delta_relation": "subset"}, size_cap)
+                           "delta_relation": "subset"})
 
 
 @dataclass(frozen=True)
@@ -240,7 +236,7 @@ def _subtables(R: FiniteRing, elems: np.ndarray, index: np.ndarray):
     return index[_pair(R.np_add, elems, elems)], index[_pair(R.np_mul, elems, elems)]
 
 
-def corner_ring(R: FiniteRing, e: int, size_cap: int = SIZE_CAP) -> CornerRing:
+def corner_ring(R: FiniteRing, e: int) -> CornerRing:
     """The corner eRe with identity e, plus the embedding back into R."""
     [e] = element_indices(R, [e], "e")
     M = R.np_mul
@@ -254,8 +250,7 @@ def corner_ring(R: FiniteRing, e: int, size_cap: int = SIZE_CAP) -> CornerRing:
     labels = [R.label(p) for p in embed]
     name = f"e{e}.{R.name}.e{e}"
     ring = _validated(name, int(index[R.zero]), int(index[e]), add, mul, labels,
-                      meta={"kind": "corner", "e": e, "embed": embed, "bases": (R,)},
-                      size_cap=size_cap)
+                      meta={"kind": "corner", "e": e, "embed": embed, "bases": (R,)})
     return CornerRing(ring, tuple(embed))
 
 
@@ -273,7 +268,7 @@ def is_two_sided_mask(R: FiniteRing, m: int) -> bool:
     return ideal_failure(R, m, two_sided=True) is None
 
 
-def quotient_ring(R: FiniteRing, I: ElementSet, size_cap: int = SIZE_CAP) -> QuotientRing:
+def quotient_ring(R: FiniteRing, I: ElementSet) -> QuotientRing:
     """R/I with canonical (smallest-index) coset representatives, numbered in
     increasing order of representative."""
     if I.ring is not R and I.ring != R:
@@ -289,8 +284,7 @@ def quotient_ring(R: FiniteRing, I: ElementSet, size_cap: int = SIZE_CAP) -> Quo
     proj_list = proj.tolist()
     ring = _validated(f"{R.name}/I{len(ideal)}", proj_list[R.zero], proj_list[R.one],
                       add, mul, labels,
-                      meta={"kind": "quotient", "ideal": ideal, "proj": proj_list},
-                      size_cap=size_cap)
+                      meta={"kind": "quotient", "ideal": ideal, "proj": proj_list})
     return QuotientRing(ring, tuple(proj_list))
 
 
@@ -320,7 +314,7 @@ def _require_central_unit(R: FiniteRing, x: int, role: str) -> None:
 _L_POSITIONS = ((0, 0), (1, 0), (1, 1), (1, 2), (2, 2))
 
 
-def hst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteRing:
+def hst_ring(R: FiniteRing, s: int, t: int) -> FiniteRing:
     """Subring of M3(R) on matrices [[a,0,0],[c,d,e],[0,0,f]] with a-d = sc, d-f = te.
 
     The free parameters are (c, d, e); a and f are determined, so the ring has
@@ -350,10 +344,10 @@ def hst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteR
     return _slot_ring(f"H({s},{t})({R.name})", [(A, R.zero)] * 3, h_mul,
                       [R.zero, R.one, R.zero], h_label,
                       {"kind": "hst", "s": s, "t": t, "bases": (R,),
-                       "delta_digits": (0, 0, 0), "delta_relation": "eq"}, size_cap)
+                       "delta_digits": (0, 0, 0), "delta_relation": "eq"})
 
 
-def lst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteRing:
+def lst_ring(R: FiniteRing, s: int, t: int) -> FiniteRing:
     """Subring of M3(R) on matrices [[a,0,0],[sc,d,te],[0,0,f]], all five slots free.
 
     s and t are central units, so they cancel from both tables: every (s, t)
@@ -367,11 +361,11 @@ def lst_ring(R: FiniteRing, s: int, t: int, size_cap: int = SIZE_CAP) -> FiniteR
     return _matrix_family(
         f"L({s},{t})({R.name})", R, _L_POSITIONS,
         {"kind": "lst", "s": s, "t": t, "bases": (R,),
-         "delta_digits": (0, None, 0, None, 0), "delta_relation": "eq"}, size_cap,
+         "delta_digits": (0, None, 0, None, 0), "delta_relation": "eq"},
         label=lambda a, c, d, e, f: matrix(a, mul_s[c], d, mul_t[e], f))
 
 
-def ks_ring(R: FiniteRing, s: int, size_cap: int = SIZE_CAP) -> FiniteRing:
+def ks_ring(R: FiniteRing, s: int) -> FiniteRing:
     """Generalized 2x2 matrix ring K_s(R): cross products scaled by central s."""
     element_indices(R, [s], "s")
     if not is_central(R, s):
@@ -384,7 +378,7 @@ def ks_ring(R: FiniteRing, s: int, size_cap: int = SIZE_CAP) -> FiniteRing:
     if s == R.zero:
         meta.update(delta_digits=(0, None, None, 0), delta_relation="eq")
     sname = "0" if s == R.zero else str(s)
-    return _matrix_family(f"K{sname}({R.name})", R, positions, meta, size_cap, routes)
+    return _matrix_family(f"K{sname}({R.name})", R, positions, meta, routes)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +445,7 @@ def _bimodule_ring(name, slots, positions, routes, *args) -> FiniteRing:
 
 
 def formal_triangular(S: FiniteRing, T: FiniteRing,
-                      M: Optional[BimoduleSpec] = None,
-                      size_cap: int = SIZE_CAP) -> FiniteRing:
+                      M: Optional[BimoduleSpec] = None) -> FiniteRing:
     """The formal triangular matrix ring [[S, M],[0, T]]."""
     if M is None:
         if S != T:
@@ -468,13 +461,12 @@ def formal_triangular(S: FiniteRing, T: FiniteRing,
                           [(0, 0), (0, 1), (1, 1)], routes, [S.one, M.zero, T.one],
                           lambda si, mi, ti: f"[[{S.label(si)},m{mi}],[0,{T.label(ti)}]]",
                           {"kind": "formal_triangular", "bases": (S, T),
-                           "delta_digits": (0, None, 1), "delta_relation": "subset"}, size_cap)
+                           "delta_digits": (0, None, 1), "delta_relation": "subset"})
 
 
 def trivial_morita(A: FiniteRing, B: FiniteRing,
                    M: Optional[BimoduleSpec] = None,
-                   N: Optional[BimoduleSpec] = None,
-                   size_cap: int = SIZE_CAP) -> FiniteRing:
+                   N: Optional[BimoduleSpec] = None) -> FiniteRing:
     """The trivial Morita context [[A, M],[N, B]] with both context products zero."""
     if M is None or N is None:
         if A != B:
@@ -493,8 +485,7 @@ def trivial_morita(A: FiniteRing, B: FiniteRing,
                           [(0, 0), (0, 1), (1, 0), (1, 1)], routes, [A.one, M.zero, N.zero, B.one],
                           lambda ai, mi, ni, bi: f"[[{A.label(ai)},m{mi}],[n{ni},{B.label(bi)}]]",
                           {"kind": "trivial_morita", "bases": (A, B),
-                           "delta_digits": (0, None, None, 1), "delta_relation": "subset"},
-                          size_cap)
+                           "delta_digits": (0, None, None, 1), "delta_relation": "subset"})
 
 
 # ---------------------------------------------------------------------------
@@ -745,26 +736,26 @@ def parse_ring_expr(text: str) -> RingExpr:
     return tree
 
 
-# head: (builder, positional kinds, keyword kinds).  A builder takes the size
-# cap, the positional arguments and the keywords by name.  "ring" is a nested
-# expression; Prod's "..." repeats its ring.  Every keyword is required but
-# Quot's gens, which defaults to no generators.
+# head: (builder, positional kinds, keyword kinds).  A builder takes the
+# positional arguments and the keywords by name, and looks its constructor up
+# by module-level name when called, so it calls a rebound (say, traced) one.
+# "ring" is a nested expression; Prod's "..." repeats its ring.  Every keyword
+# is required but Quot's gens, which defaults to no generators.
 _CONSTRUCTORS = {
-    "Zn": (lambda cap, k: make_zn(k, cap), ("int",), {}),
-    "M": (lambda cap, n, R: matrix_ring(n, R, cap), ("int", "ring"), {}),
-    "T": (lambda cap, n, R: upper_triangular_ring(n, R, cap), ("int", "ring"), {}),
-    "Prod": (lambda cap, *parts: direct_product(parts, cap), ("ring", "..."), {}),
-    "Corner": (lambda cap, R, e: corner_ring(R, e, cap).ring, ("ring",), {"e": "int"}),
-    "Quot": (lambda cap, R, gens=(): quotient_ring(R, two_sided_ideal_generated(R, gens),
-                                                   cap).ring, ("ring",), {"gens": "list"}),
-    "Hst": (lambda cap, R, s, t: hst_ring(R, s, t, cap), ("ring",), {"s": "int", "t": "int"}),
-    "Lst": (lambda cap, R, s, t: lst_ring(R, s, t, cap), ("ring",), {"s": "int", "t": "int"}),
-    "K0": (lambda cap, R: ks_ring(R, R.zero, cap), ("ring",), {}),
-    "Ks": (lambda cap, R, s: ks_ring(R, s, cap), ("ring",), {"s": "int"}),
-    "Tri": (lambda cap, S, T: formal_triangular(S, T, size_cap=cap), ("ring", "ring"), {}),
-    "Morita": (lambda cap, A, B: trivial_morita(A, B, size_cap=cap), ("ring", "ring"), {}),
-    "File": (lambda cap, path: loads_ring(Path(path).read_text(encoding="utf-8"), cap),
-             ("str",), {}),
+    "Zn": (lambda k: make_zn(k), ("int",), {}),
+    "M": (lambda n, R: matrix_ring(n, R), ("int", "ring"), {}),
+    "T": (lambda n, R: upper_triangular_ring(n, R), ("int", "ring"), {}),
+    "Prod": (lambda *parts: direct_product(parts), ("ring", "..."), {}),
+    "Corner": (lambda R, e: corner_ring(R, e).ring, ("ring",), {"e": "int"}),
+    "Quot": (lambda R, gens=(): quotient_ring(R, two_sided_ideal_generated(R, gens)).ring,
+             ("ring",), {"gens": "list"}),
+    "Hst": (lambda R, s, t: hst_ring(R, s, t), ("ring",), {"s": "int", "t": "int"}),
+    "Lst": (lambda R, s, t: lst_ring(R, s, t), ("ring",), {"s": "int", "t": "int"}),
+    "K0": (lambda R: ks_ring(R, R.zero), ("ring",), {}),
+    "Ks": (lambda R, s: ks_ring(R, s), ("ring",), {"s": "int"}),
+    "Tri": (lambda S, T: formal_triangular(S, T), ("ring", "ring"), {}),
+    "Morita": (lambda A, B: trivial_morita(A, B), ("ring", "ring"), {}),
+    "File": (lambda path: loads_ring(Path(path).read_text(encoding="utf-8")), ("str",), {}),
 }
 
 
@@ -772,7 +763,7 @@ def _kind(value) -> str:
     return "ring" if isinstance(value, RingExpr) else type(value).__name__
 
 
-def build_ring_expr(expr: RingExpr, size_cap: int = SIZE_CAP) -> FiniteRing:
+def build_ring_expr(expr: RingExpr) -> FiniteRing:
     """Evaluate a parsed RingExpr into a validated FiniteRing.  ParseError at
     the expression unless its arguments fit the head's `_CONSTRUCTORS` entry:
     no surplus or missing argument, no wrong kind, no unknown keyword."""
@@ -786,12 +777,12 @@ def build_ring_expr(expr: RingExpr, size_cap: int = SIZE_CAP) -> FiniteRing:
         want = ", ".join(kinds + tuple(f"{k}={v}" for k, v in keywords.items()))
         got = ", ".join(given + tuple(f"{k}={_kind(v)}" for k, v in expr.kwargs.items()))
         raise ParseError(f"{expr.head} takes ({want}), got ({got})", expr.pos)
-    args = [build_ring_expr(a, size_cap) if isinstance(a, RingExpr) else a for a in expr.args]
+    args = [build_ring_expr(a) if isinstance(a, RingExpr) else a for a in expr.args]
     try:
-        return build(size_cap, *args, **expr.kwargs)
+        return build(*args, **expr.kwargs)
     except ValueError as exc:       # File: malformed JSON or UTF-8, a NUL in the path
         raise ParseError(f"bad arguments for {expr.head}: {exc}", expr.pos) from exc
 
 
-def construct(text: str, size_cap: int = SIZE_CAP) -> FiniteRing:
-    return build_ring_expr(parse_ring_expr(text), size_cap=size_cap)
+def construct(text: str) -> FiniteRing:
+    return build_ring_expr(parse_ring_expr(text))

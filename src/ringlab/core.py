@@ -15,18 +15,16 @@ import hashlib
 import itertools
 import json
 import operator
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-# Size and effort caps.  SIZE_CAP and ARMENDARIZ_CAP are defaults that a call
-# (and --size-cap, --armendariz-cap) may override; LATTICE_CAP and
-# QUANTIFIER_CAP are fixed.
-SIZE_WARN = 1024
-SIZE_CAP = 4096
+# Size and effort caps.  ARMENDARIZ_CAP is a default that a call (and
+# --armendariz-cap) may override; the others are fixed.  SIZE_CAP is read
+# when `check_size` runs, before any table of that order is built or scanned.
+SIZE_CAP = 4096  # largest ring order
 LATTICE_CAP = 100_000  # right ideals one lattice search may find
 ARMENDARIZ_CAP = 128
 QUANTIFIER_CAP = 32  # largest order at which the r2 and r4 routes to delta run
@@ -52,7 +50,7 @@ class AxiomViolation(RinglabError):
 
 
 class SizeCap(RinglabError):
-    """A construction or check would exceed the configured size cap."""
+    """A ring would exceed SIZE_CAP, or an enumeration or check its own cap."""
 
 
 class LatticeCap(RinglabError):
@@ -553,11 +551,16 @@ def _check_table(rows, shape: tuple[int, int], bound: int, tname: str) -> None:
                         f"{tname}[{i}] entry {v} out of range 0..{bound - 1}")
 
 
+def check_size(name: str, order: int) -> None:
+    """Raise SizeCap if `order` exceeds SIZE_CAP: the one place it is compared."""
+    if order > SIZE_CAP:
+        raise SizeCap(f"{name}: order {order} exceeds size cap {SIZE_CAP}")
+
+
 def validate_ring(name: str, zero: int, one: int,
                   add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]],
                   labels: Optional[Sequence[str]] = None,
-                  meta: Optional[dict] = None,
-                  size_cap: int = SIZE_CAP) -> FiniteRing:
+                  meta: Optional[dict] = None) -> FiniteRing:
     """Build a FiniteRing after exactly checking every axiom (`check_ring_axioms`).
 
     add and mul are lists of lists of plain ints (bool is refused) or integer
@@ -567,8 +570,7 @@ def validate_ring(name: str, zero: int, one: int,
     n = len(add)
     if n == 0 or len(mul) != n:
         raise DimensionMismatch(f"need two n x n tables, got add:{len(add)} mul:{len(mul)}")
-    if n > size_cap:        # before the tables are scanned
-        raise SizeCap(f"order {n} exceeds size cap {size_cap}")
+    check_size(name, n)     # before the tables are scanned
     for t, tname in ((add, "add"), (mul, "mul")):
         _check_table(t, (n, n), n, tname)
     if not (_is_int(zero) and _is_int(one)):
@@ -577,9 +579,6 @@ def validate_ring(name: str, zero: int, one: int,
         raise DimensionMismatch("zero/one index out of range")
     if labels is not None and len(labels) != n:
         raise DimensionMismatch(f"labels has length {len(labels)}, expected {n}")
-    if n > SIZE_WARN:
-        warnings.warn(f"ring {name!r} has order {n} > {SIZE_WARN}; its right-ideal lattice "
-                      "and predicates will be slow", stacklevel=2)
     R = FiniteRing(name, zero, one, add, mul, labels, meta)
     check_ring_axioms(R)
     return R
@@ -624,7 +623,7 @@ def dumps_ring(R: FiniteRing) -> str:
     return "{\n" + ",\n".join(f' "{k}": {v}' for k, v in fields) + "\n}\n"
 
 
-def ring_from_json_dict(d: dict, size_cap: int = SIZE_CAP) -> FiniteRing:
+def ring_from_json_dict(d: dict) -> FiniteRing:
     if not isinstance(d, dict):
         raise DimensionMismatch("ring JSON must be an object")
     for key in ("name", "order", "zero", "one", "add", "mul"):
@@ -641,11 +640,11 @@ def ring_from_json_dict(d: dict, size_cap: int = SIZE_CAP) -> FiniteRing:
                               and all(isinstance(s, str) for s in labels)):
         raise DimensionMismatch("ring JSON labels must be a list of strings")
     return validate_ring(d["name"], d["zero"], d["one"], d["add"], d["mul"],
-                         labels=labels, size_cap=size_cap)
+                         labels=labels)
 
 
-def loads_ring(text: str, size_cap: int = SIZE_CAP) -> FiniteRing:
-    return ring_from_json_dict(json.loads(text), size_cap=size_cap)
+def loads_ring(text: str) -> FiniteRing:
+    return ring_from_json_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,11 @@ def r4_ideal_mask(R: FiniteRing) -> int:
     (`_bound_mask`), is P.  So the P that qualify are the bounds of the
     maximal right ideals M of R with R/M singular, read off R's own lattice;
     singularity is checked element by element.
+
+    The bound step cannot change the result: for maximal M, R/M is singular
+    iff M is essential, and delta(R), a two-sided ideal inside each such M,
+    lies in each bound, so the bounds meet in r1 as the M do.  As a cross-check
+    of r1, r4 tests only `_singular_quotient` against `is_essential_mask`.
     """
     def compute():
         out = R.full_mask()

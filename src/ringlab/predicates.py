@@ -76,7 +76,12 @@ def is_j_reversible(R: FiniteRing, **_) -> PropertyResult:
 
 def is_delta_reversible(R: FiniteRing, **_) -> PropertyResult:
     """ab = 0 implies ba in delta(R), decided by three routes that must agree:
-    the definition, the square-zero criterion, and the annihilator criterion."""
+    the definition, the square-zero criterion, and the annihilator criterion.
+
+    "a l(a) inside delta for all a" and "r(a) a inside delta for all a" each
+    restate "uv = 0 forces vu in delta", so the annihilator route guards only
+    against a faulty gather: on correct kernels only the square-zero route
+    can disagree and raise CharacterizationMismatch."""
     d = zhou_radical_mask(R)
     in_d = bool_from_mask(d, R.order)
     M = R.np_mul

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional, Union
 import numpy as np
 
 from .core import (
-    ARMENDARIZ_CAP, LATTICE_CAP, QUANTIFIER_CAP, SIZE_CAP, TOOL_VERSION,
+    ARMENDARIZ_CAP, LATTICE_CAP, QUANTIFIER_CAP, TOOL_VERSION,
     CharacterizationMismatch, CrossCheckMismatch, FiniteRing, SizeCap, array_from_mask,
     bool_from_mask, double_commutant_mask, idempotents_mask, is_central, mask_from_bool,
     mask_iter, nilpotents_mask, units_mask)
@@ -55,38 +55,36 @@ def central_unit_pairs(R: FiniteRing) -> list[tuple[int, int]]:
     return [(s, t) for s in cu for t in cu]
 
 
-def default_corpus(size_cap: int = SIZE_CAP) -> list[CorpusMember]:
+def default_corpus() -> list[CorpusMember]:
     """The versioned default preset, in deterministic order."""
     zn = {k: make_zn(k) for k in range(1, 10)}
     rings = list(zn.values())
     for order in range(1, 9):
         rings += enumerate_unital_rings(order, up_to_iso=True)
-    rings += [matrix_ring(2, zn[k], size_cap) for k in (2, 3, 4)]
-    rings += [upper_triangular_ring(2, zn[k], size_cap) for k in (2, 3, 4)]
-    rings += [ks_ring(zn[k], zn[k].zero, size_cap) for k in (2, 3, 4)]
+    rings += [matrix_ring(2, zn[k]) for k in (2, 3, 4)]
+    rings += [upper_triangular_ring(2, zn[k]) for k in (2, 3, 4)]
+    rings += [ks_ring(zn[k], zn[k].zero) for k in (2, 3, 4)]
     for build in (hst_ring, lst_ring):
-        rings += [build(zn[k], s, t, size_cap)
-                  for k in (2, 3, 4) for s, t in central_unit_pairs(zn[k])]
-    rings.append(direct_product([zn[2], zn[4]], size_cap))
-    rings += [corner_ring(R, e, size_cap).ring
-              for R in rings for e in mask_iter(idempotents_mask(R))]
+        rings += [build(zn[k], s, t) for k in (2, 3, 4) for s, t in central_unit_pairs(zn[k])]
+    rings.append(direct_product([zn[2], zn[4]]))
+    rings += [corner_ring(R, e).ring for R in rings for e in mask_iter(idempotents_mask(R))]
     for k in (2, 3):
-        rings.append(formal_triangular(zn[k], zn[k], size_cap=size_cap))
-        rings.append(trivial_morita(zn[k], zn[k], size_cap=size_cap))
+        rings.append(formal_triangular(zn[k], zn[k]))
+        rings.append(trivial_morita(zn[k], zn[k]))
     return [_member(R) for R in rings]
 
 
-def build_corpus(spec: str = "default", size_cap: int = SIZE_CAP) -> tuple[str, list[CorpusMember]]:
+def build_corpus(spec: str = "default") -> tuple[str, list[CorpusMember]]:
     """Resolve a corpus spec: the 'default' preset, '@file' with one ring
     expression per line, or a semicolon-separated list of ring expressions."""
     if spec == "default":
-        return f"default ({CORPUS_VERSION})", default_corpus(size_cap)
+        return f"default ({CORPUS_VERSION})", default_corpus()
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
             exprs = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     else:
         exprs = [part.strip() for part in spec.split(";") if part.strip()]
-    return spec, [_member(construct(text, size_cap), expr=text) for text in exprs]
+    return spec, [_member(construct(text), expr=text) for text in exprs]
 
 
 @dataclass

@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ringlab import core
 from ringlab.core import AxiomViolation, BimoduleAxiomViolation, FiniteRing, SizeCap, units_mask
 from ringlab.constructions import (
     BimoduleSpec, corner_ring, direct_product, enumerate_unital_rings, formal_triangular, make_zn,
@@ -140,14 +141,14 @@ TABLE_CASES = ["sm+1, mt+1", "wrong shape", "ragged table", "entry out of range"
                "float64 array", "float zero", "bool zero"]
 
 
-def _place(where, S, T, spec, size_cap=4096):
+def _place(where, S, T, spec):
     """Build the ring that carries spec: [[S, M],[0, T]], or a Morita
     context with spec as M (over (S, T)) or as N (over (T, S))."""
     if where == "tri":
-        return formal_triangular(S, T, spec, size_cap=size_cap)
+        return formal_triangular(S, T, spec)
     if where == "morita-M":
-        return trivial_morita(S, T, spec, _zero_module(T, S), size_cap=size_cap)
-    return trivial_morita(T, S, _zero_module(T, S), spec, size_cap=size_cap)
+        return trivial_morita(S, T, spec, _zero_module(T, S))
+    return trivial_morita(T, S, _zero_module(T, S), spec)
 
 
 PLACES = ["tri", "morita-M", "morita-N"]
@@ -198,11 +199,12 @@ def test_bimodule_spec_takes_nested_lists_or_arrays():
     assert trivial_morita(Z3, Z3, arrays, arrays) == trivial_morita(Z3, Z3, lists, lists)
 
 
-def test_oversized_context_raises_size_cap_before_bimodule_laws():
+def test_oversized_context_raises_size_cap_before_bimodule_laws(monkeypatch):
     S, T, spec = _case("non-unital")
+    monkeypatch.setattr(core, "SIZE_CAP", 4)
     for where in PLACES:
         with pytest.raises(SizeCap):
-            _place(where, S, T, spec, size_cap=4)
+            _place(where, S, T, spec)
 
 
 # ---------------------------------------------------------------------------

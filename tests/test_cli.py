@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from ringlab import ideals
+from ringlab import core, ideals
 from ringlab.cli import _parser, main
-from ringlab.constructions import construct
+from ringlab.constructions import construct, enumerate_unital_rings
 
 from test_core import BAD_LABELS, BAD_NAMES, NON_INTEGER_ENTRIES, Z2_JSON, with_entry
 
@@ -209,10 +209,14 @@ def test_arguments_a_constructor_would_ignore_exit_2(capsys, expr):
     assert err.startswith("error:") and "position" in err
 
 
-def test_zn_obeys_the_size_cap_exit_2(capsys):
-    code, out, err = run_cli("construct", "Zn(300)", "--size-cap", "100", capsys=capsys)
+def test_zn_obeys_the_size_cap_exit_2(capsys, monkeypatch):
+    code, out, err = run_cli("construct", "M(2,Zn(9))", capsys=capsys)
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "size cap 100" in err
+    assert err == "error: M2(Z9): order 6561 exceeds size cap 4096\n"
+    monkeypatch.setattr(core, "SIZE_CAP", 100)
+    code, out, err = run_cli("construct", "Zn(300)", capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == "error: Z300: order 300 exceeds size cap 100\n"
 
 
 @pytest.mark.parametrize("expr", ["Quot(Zn(4),gens=[-1])", "Quot(Zn(4),gens=[7])",
@@ -279,12 +283,11 @@ def test_env_var_corpus(monkeypatch):
 # each subcommand takes exactly the options its command reads
 
 OPTIONS = {
-    "construct": ["--out", "--size-cap"],
-    "radical": ["--out", "--format", "--which", "--all-characterizations", "--size-cap"],
-    "check": ["--out", "--format", "--props", "--size-cap", "--armendariz-cap"],
-    "suite": ["--out", "--format", "-v", "--corpus", "--jobs", "--size-cap",
-              "--armendariz-cap"],
-    "hunt": ["--implies", "--corpus", "--all", "--out", "--size-cap", "--armendariz-cap"],
+    "construct": ["--out"],
+    "radical": ["--out", "--format", "--which", "--all-characterizations"],
+    "check": ["--out", "--format", "--props", "--armendariz-cap"],
+    "suite": ["--out", "--format", "-v", "--corpus", "--jobs", "--armendariz-cap"],
+    "hunt": ["--implies", "--corpus", "--all", "--out", "--armendariz-cap"],
     "enumerate": ["--order", "--up-to-iso", "--out"],
 }
 
@@ -344,6 +347,11 @@ def test_every_declared_option_is_read(tmp_path, capsys, argv):
     ["check", "Zn(4)", "--lattice-cap", "2"],
     ["suite", "--corpus", "Zn(4)", "--lattice-cap", "2"],
     ["hunt", "--implies", "reversible => abelian", "--corpus", "Zn(4)", "--lattice-cap", "2"],
+    ["construct", "Zn(4)", "--size-cap", "100"],
+    ["radical", "Zn(4)", "--size-cap", "100"],
+    ["check", "Zn(4)", "--size-cap", "100"],
+    ["suite", "--corpus", "Zn(4)", "--size-cap", "100"],
+    ["hunt", "--implies", "reversible => abelian", "--corpus", "Zn(4)", "--size-cap", "100"],
 ])
 def test_a_removed_option_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -352,12 +360,18 @@ def test_a_removed_option_is_a_usage_error(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def _benchmark_argvs() -> list:
-    """Every argv shape that perfbench/workloads.py passes to the CLI."""
+def _workloads():
+    """perfbench/workloads.py, loaded read-only as a module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _benchmark_argvs() -> list:
+    """Every argv shape that perfbench/workloads.py passes to the CLI."""
+    workloads = _workloads()
     argvs = [workloads.SUITE_ARGV]
     for _, _, exprs in workloads.QUERY_STRATA:
         argvs += workloads.query_argvs(exprs[0])
@@ -372,3 +386,12 @@ def test_benchmark_argv_parses(argv):
         _parser().parse_args(argv)
     except SystemExit as exc:
         pytest.fail(f"{argv} is a usage error (exit {exc.code})")
+
+
+def test_benchmark_enumerated_rings_exist():
+    # the benchmark worker's set-up writes these rings for File(...) queries
+    # and exits 2, outside any per-operation guard, if one is missing
+    workloads = _workloads()
+    names = {ring.name for order in workloads.ENUM_ORDERS
+             for ring in enumerate_unital_rings(order, up_to_iso=True)}
+    assert set(workloads.ENUM_RINGS) <= names

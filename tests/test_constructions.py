@@ -8,7 +8,8 @@ import pytest
 from ringlab import constructions, core
 from ringlab.core import (
     DimensionMismatch, FiniteRing, NotCentralUnit, NotIdempotent, NotTwoSidedIdeal,
-    ParseError, SizeCap, clear_shared_cache, dumps_ring, idempotents, units, element_set)
+    ParseError, SizeCap, clear_shared_cache, dumps_ring, idempotents, loads_ring, units,
+    element_set)
 from ringlab.constructions import (
     BimoduleSpec, abelian_group_factorizations, construct, corner_ring, decode_digits,
     direct_product, encode_digits, enumerate_unital_rings, formal_triangular, hst_ring,
@@ -39,10 +40,34 @@ def test_make_zn_matches_list_built_tables():
 
 def test_make_zn_checks_the_size_cap_before_building(monkeypatch):
     monkeypatch.setattr(constructions, "_validated", None)   # never reached
-    for build in (lambda: make_zn(core.SIZE_CAP + 1), lambda: make_zn(300, size_cap=100),
-                  lambda: construct("Zn(300)", size_cap=100)):
-        with pytest.raises(SizeCap):
+    with pytest.raises(SizeCap, match=r"^Z4097: order 4097 exceeds size cap 4096$"):
+        make_zn(core.SIZE_CAP + 1)
+    monkeypatch.setattr(core, "SIZE_CAP", 100)
+    for build in (lambda: make_zn(300), lambda: construct("Zn(300)")):
+        with pytest.raises(SizeCap, match=r"^Z300: order 300 exceeds size cap 100$"):
             build()
+
+
+def test_the_size_cap_binds_whether_or_not_a_cache_is_warm(monkeypatch):
+    R = construct("M(2,Zn(3))")                 # order 81, its digest now validated
+    text = dumps_ring(R)
+    monkeypatch.setattr(core, "SIZE_CAP", 64)
+    with pytest.raises(SizeCap, match=r"^M2\(Z3\): order 81 exceeds size cap 64$"):
+        construct("M(2,Zn(3))")
+    with pytest.raises(SizeCap):
+        loads_ring(text)
+
+
+def test_expression_builders_call_the_module_level_constructors(monkeypatch):
+    # a tracer rebinds module attributes; a builder holding the function
+    # object itself would bypass it
+    called = []
+    for name in ("matrix_ring", "make_zn"):
+        original = getattr(constructions, name)
+        monkeypatch.setattr(constructions, name,
+                            lambda *a, _f=original, _n=name: called.append(_n) or _f(*a))
+    construct("M(2,Zn(2))")
+    assert called == ["make_zn", "matrix_ring"]
 
 
 def test_direct_product_isomorphic_z6(zn):
@@ -60,9 +85,10 @@ def test_direct_product_z2z2_idempotents(zn):
     assert len(idempotents(P)) == 4
 
 
-def test_direct_product_size_cap(zn):
-    with pytest.raises(SizeCap):
-        direct_product([zn[9], zn[9]], size_cap=16)
+def test_direct_product_size_cap(zn, monkeypatch):
+    monkeypatch.setattr(core, "SIZE_CAP", 16)
+    with pytest.raises(SizeCap, match=r"^Z9xZ9: order 81 exceeds size cap 16$"):
+        direct_product([zn[9], zn[9]])
 
 
 def test_matrix_ring_m2z3_order(m2z3):
@@ -296,9 +322,10 @@ def test_lst_order_and_diagonal_slice(zn):
         assert L.np_mul[p, p] == p  # idempotent diagonal over Z2
 
 
-def test_lst_size_cap(zn):
-    with pytest.raises(SizeCap):
-        lst_ring(zn[4], 1, 1, size_cap=512)
+def test_lst_size_cap(zn, monkeypatch):
+    monkeypatch.setattr(core, "SIZE_CAP", 512)
+    with pytest.raises(SizeCap, match=r"order 1024 exceeds size cap 512"):
+        lst_ring(zn[4], 1, 1)
 
 
 def test_k1_isomorphic_to_m2(zn, m2z2):

@@ -68,10 +68,12 @@ def test_out_of_range_entry_rejected():
         validate_ring("bad", 0, 1, [[0, 1], [1, 5]], [[0, 0], [0, 1]])
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
     add, mul = zn_tables(6)
-    with pytest.raises(SizeCap):
-        validate_ring("Z6", 0, 1, add, mul, size_cap=4)
+    assert validate_ring("Z6", 0, 1, add, mul).order == 6
+    monkeypatch.setattr(core, "SIZE_CAP", 4)
+    with pytest.raises(SizeCap, match=r"^Z6: order 6 exceeds size cap 4$"):
+        validate_ring("Z6", 0, 1, add, mul)
 
 
 def test_size_cap_is_checked_before_the_tables_are_scanned(monkeypatch):
@@ -81,11 +83,13 @@ def test_size_cap_is_checked_before_the_tables_are_scanned(monkeypatch):
         raise AssertionError("_check_table scanned a table over the size cap")
 
     monkeypatch.setattr(core, "_check_table", scan)
+    monkeypatch.setattr(core, "SIZE_CAP", 100)
     with pytest.raises(SizeCap):
-        loads_ring(text, size_cap=100)
+        loads_ring(text)
     # an oversized malformed table is refused by the cap as well
+    monkeypatch.setattr(core, "SIZE_CAP", 4)
     with pytest.raises(SizeCap):
-        validate_ring("bad", 0, 1, [[0, 1, 2]] * 6, [[0]] * 6, size_cap=4)
+        validate_ring("bad", 0, 1, [[0, 1, 2]] * 6, [[0]] * 6)
 
 
 def test_units_z4(zn):

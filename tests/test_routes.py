@@ -56,7 +56,7 @@ def old_matrix_ring(n, R):
         [R.one if i == j else R.zero for i in range(n) for j in range(n)],
         lambda *entries: _matrix_label(entries, R, n),
         {"kind": "matrix", "n": n, "bases": (R,),
-         "delta_digits": (0,) * (n * n), "delta_relation": "eq"}, FIT)
+         "delta_digits": (0,) * (n * n), "delta_relation": "eq"})
 
 
 def old_upper_triangular_ring(n, R):
@@ -78,7 +78,7 @@ def old_upper_triangular_ring(n, R):
         [R.one if i == j else R.zero for (i, j) in positions], tri_label,
         {"kind": "triangular", "n": n, "bases": (R,),
          "delta_digits": tuple(0 if i == j else None for i, j in positions),
-         "delta_relation": "subset"}, FIT)
+         "delta_relation": "subset"})
 
 
 def old_hst_ring(R, s, t):
@@ -107,7 +107,7 @@ def old_hst_ring(R, s, t):
     return _slot_ring(f"H({s},{t})({R.name})", [(A, R.zero)] * 3, h_mul,
                       [R.zero, R.one, R.zero], h_label,
                       {"kind": "hst", "s": s, "t": t, "bases": (R,),
-                       "delta_digits": (0, 0, 0), "delta_relation": "eq"}, FIT)
+                       "delta_digits": (0, 0, 0), "delta_relation": "eq"})
 
 
 def old_lst_ring(R, s, t):
@@ -132,7 +132,7 @@ def old_lst_ring(R, s, t):
     return _slot_ring(f"L({s},{t})({R.name})", [(A, R.zero)] * 5, l_mul,
                       [R.one, R.zero, R.one, R.zero, R.one], l_label,
                       {"kind": "lst", "s": s, "t": t, "bases": (R,),
-                       "delta_digits": (0, None, 0, None, 0), "delta_relation": "eq"}, FIT)
+                       "delta_digits": (0, None, 0, None, 0), "delta_relation": "eq"})
 
 
 def old_ks_ring(R, s):
@@ -150,7 +150,7 @@ def old_ks_ring(R, s):
     sname = "0" if s == R.zero else str(s)
     return _slot_ring(f"K{sname}({R.name})", [(A, R.zero)] * 4, k_mul,
                       [R.one, R.zero, R.zero, R.one],
-                      lambda a, x, y, b: _matrix_label((a, x, y, b), R, 2), meta, FIT)
+                      lambda a, x, y, b: _matrix_label((a, x, y, b), R, 2), meta)
 
 
 def _old_bimodule_ring(name, *args):
@@ -173,7 +173,7 @@ def old_formal_triangular(S, T, M):
                               [S.one, M.zero, T.one],
                               lambda si, mi, ti: f"[[{S.label(si)},m{mi}],[0,{T.label(ti)}]]",
                               {"kind": "formal_triangular", "bases": (S, T),
-                               "delta_digits": (0, None, 1), "delta_relation": "subset"}, FIT)
+                               "delta_digits": (0, None, 1), "delta_relation": "subset"})
 
 
 def old_trivial_morita(A, B, M, N):
@@ -193,8 +193,7 @@ def old_trivial_morita(A, B, M, N):
                               lambda ai, mi, ni, bi:
                                   f"[[{A.label(ai)},m{mi}],[n{ni},{B.label(bi)}]]",
                               {"kind": "trivial_morita", "bases": (A, B),
-                               "delta_digits": (0, None, None, 1), "delta_relation": "subset"},
-                              FIT)
+                               "delta_digits": (0, None, None, 1), "delta_relation": "subset"})
 
 
 # ---------------------------------------------------------------------------

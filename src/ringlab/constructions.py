@@ -29,10 +29,10 @@ import numpy as np
 
 from .core import (
     AxiomViolation, BimoduleAxiomViolation, ClosureViolation, DimensionMismatch,
-    ElementSet, FiniteRing, NotCentral, NotCentralUnit, NotIdempotent, NotTwoSidedIdeal,
+    FiniteRing, NotCentral, NotCentralUnit, NotIdempotent, NotTwoSidedIdeal,
     ParseError, SizeCap, _cached, _check_table, _is_int, additive_span, bool_from_mask,
-    check_ring_axioms, check_size, coset_labels, element_indices, element_set_from_mask,
-    ideal_failure, is_central, loads_ring, mask_from_bool, nilpotents_mask,
+    check_ring_axioms, check_size, coset_labels, element_indices, ideal_failure,
+    is_central, loads_ring, mask_elems, mask_from_bool, nilpotents_mask,
     idempotents_mask, units_mask,
 )
 
@@ -260,23 +260,21 @@ class QuotientRing:
     proj: tuple[int, ...]  # parent element -> coset index
 
 
-def is_right_ideal_mask(R: FiniteRing, m: int) -> bool:
-    return ideal_failure(R, m, two_sided=False) is None
-
-
 def is_two_sided_mask(R: FiniteRing, m: int) -> bool:
     return ideal_failure(R, m, two_sided=True) is None
 
 
-def quotient_ring(R: FiniteRing, I: ElementSet) -> QuotientRing:
-    """R/I with canonical (smallest-index) coset representatives, numbered in
-    increasing order of representative."""
-    if I.ring is not R and I.ring != R:
-        raise NotTwoSidedIdeal("ideal belongs to a different ring")
-    if not is_two_sided_mask(R, I.mask):
-        raise NotTwoSidedIdeal(f"{I.elems} is not a two-sided ideal of {R.name}")
-    ideal = list(I.elems)
-    rep_of = coset_labels(R, I.mask)
+def quotient_ring(R: FiniteRing, m: int) -> QuotientRing:
+    """R/I for the two-sided ideal I given as the mask m, with canonical
+    (smallest-index) coset representatives, numbered in increasing order of
+    representative."""
+    if not 0 <= m <= R.full_mask():
+        raise DimensionMismatch(f"ideal mask {m:#x} is not a subset of {R.name} "
+                                f"(0..{R.order - 1})")
+    ideal = mask_elems(m)
+    if not is_two_sided_mask(R, m):
+        raise NotTwoSidedIdeal(f"{ideal} is not a two-sided ideal of {R.name}")
+    rep_of = coset_labels(R, m)
     reps = np.unique(rep_of)
     proj = np.searchsorted(reps, rep_of)
     add, mul = _subtables(R, reps, proj)
@@ -284,11 +282,11 @@ def quotient_ring(R: FiniteRing, I: ElementSet) -> QuotientRing:
     proj_list = proj.tolist()
     ring = _validated(f"{R.name}/I{len(ideal)}", proj_list[R.zero], proj_list[R.one],
                       add, mul, labels,
-                      meta={"kind": "quotient", "ideal": ideal, "proj": proj_list})
+                      meta={"kind": "quotient", "ideal": list(ideal), "proj": proj_list})
     return QuotientRing(ring, tuple(proj_list))
 
 
-def two_sided_ideal_generated(R: FiniteRing, gens: Iterable[int]) -> ElementSet:
+def two_sided_ideal_generated(R: FiniteRing, gens: Iterable[int]) -> int:
     """Smallest two-sided ideal containing gens: the additive span of the
     products r g s (r, s in R), which absorbs products on both sides."""
     M = R.np_mul
@@ -296,7 +294,7 @@ def two_sided_ideal_generated(R: FiniteRing, gens: Iterable[int]) -> ElementSet:
     for g in element_indices(R, gens, "generator"):
         products[M[np.unique(M[:, g])]] = True
     _, reached = additive_span(R.np_add, R.zero, np.flatnonzero(products))
-    return element_set_from_mask(R, mask_from_bool(reached), "two-sided-ideal", check=False)
+    return mask_from_bool(reached)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ Elements are opaque indices 0..n-1; all semantics live in the addition and
 multiplication tables, stored once each as a read-only C-ordered int32 numpy
 array (`np_add`, `np_mul`); scalar code reads `tolist()` copies.
 Validation is exact and happens at construction time, so everything
-downstream may assume the ring axioms hold.  Subsets of a ring are carried
-around as int bitmasks internally (bit i = element i) and as `ElementSet`
-values at the API surface.  A table entry is a numpy scalar: convert it with
-int() before it reaches a bitmask shift, a label or JSON.
+downstream may assume the ring axioms hold.  A subset of a ring, an ideal
+or a radical included, is an int bitmask (bit i = element i) everywhere,
+the API included; `mask_elems` lists its members.  A table entry is a numpy
+scalar: convert it with int() before it reaches a bitmask shift, a label or
+JSON.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ import hashlib
 import itertools
 import json
 import operator
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -246,37 +245,6 @@ class FiniteRing:
         return (1 << self.order) - 1
 
 
-@dataclass(frozen=True)
-class ElementSet:
-    """A subset of a ring's elements with a role tag.
-
-    kind is one of "subset", "right-ideal", "two-sided-ideal"; the factory
-    `element_set` verifies the closure properties the tag promises.
-    """
-    ring: FiniteRing = field(repr=False)
-    elems: tuple[int, ...]
-    kind: str = "subset"
-
-    @cached_property
-    def mask(self) -> int:
-        return mask_of(self.elems)
-
-    def __contains__(self, x: int) -> bool:
-        return bool((self.mask >> x) & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elems)
-
-    def __len__(self) -> int:
-        return len(self.elems)
-
-    def is_full(self) -> bool:
-        return len(self.elems) == self.ring.order
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.ring.label(i) for i in self.elems)
-
-
 def element_indices(R: FiniteRing, xs: Iterable, role: str) -> list[int]:
     """xs as plain ints; DimensionMismatch unless each one indexes an element
     of R (a negative index would silently wrap around in a numpy table)."""
@@ -288,22 +256,6 @@ def element_indices(R: FiniteRing, xs: Iterable, role: str) -> list[int]:
                 f"{role} {x!r} is not an element of {R.name} (0..{R.order - 1})")
         out.append(int(x))
     return out
-
-
-def element_set(R: FiniteRing, elems: Iterable[int], kind: str = "subset",
-                check: bool = True) -> ElementSet:
-    es = ElementSet(R, tuple(sorted({int(x) for x in elems})), kind)
-    if check:
-        _check_element_set(es)
-    return es
-
-
-def element_set_from_mask(R: FiniteRing, mask: int, kind: str = "subset",
-                          check: bool = True) -> ElementSet:
-    es = ElementSet(R, mask_elems(mask), kind)
-    if check:
-        _check_element_set(es)
-    return es
 
 
 def ideal_failure(R: FiniteRing, m: int, two_sided: bool) -> Optional[tuple[str, tuple]]:
@@ -338,20 +290,6 @@ def ideal_failure(R: FiniteRing, m: int, two_sided: bool) -> Optional[tuple[str,
             i = int(np.argmin(col_ok))
             return "left multiplication closure", (int(np.argmin(ok_left[:, i])), int(elems[i]))
     return None
-
-
-def _check_element_set(es: ElementSet) -> None:
-    R, kind = es.ring, es.kind
-    if kind not in ("subset", "right-ideal", "two-sided-ideal"):
-        raise ValueError(f"unknown ElementSet kind {kind!r}")
-    if es.elems and (es.elems[0] < 0 or es.elems[-1] >= R.order):
-        raise DimensionMismatch("element index out of range")
-    if kind == "subset":
-        return
-    failure = ideal_failure(R, es.mask, kind == "two-sided-ideal")
-    if failure is not None:
-        law, witness = failure
-        raise AxiomViolation(f"{kind} {law}", witness)
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +598,7 @@ def _cached(R: FiniteRing, key, compute):
 
 
 def units_mask(R: FiniteRing) -> int:
+    """Elements u with a two-sided inverse: uv = vu = 1."""
     def compute():
         # u is a unit iff some v has uv = 1, rows only: then x -> vx is
         # injective, so onto in a finite ring, vw = 1 for some w, and w = uvw = u
@@ -667,29 +606,11 @@ def units_mask(R: FiniteRing) -> int:
     return _cached(R, "units_mask", compute)
 
 
-def units(R: FiniteRing) -> ElementSet:
-    """Elements u with a two-sided inverse: uv = vu = 1."""
-    return element_set_from_mask(R, units_mask(R), "subset", check=False)
-
-
-def unit_inverse(R: FiniteRing, u: int) -> int:
-    [u] = element_indices(R, [u], "element")
-    M = R.np_mul
-    inverses = np.flatnonzero((M[u] == R.one) & (M[:, u] == R.one))
-    if inverses.size == 0:
-        raise RinglabError(f"element {u} is not a unit")
-    return int(inverses[0])
-
-
 def idempotents_mask(R: FiniteRing) -> int:
+    """All e with e*e = e; always contains zero and one."""
     def compute():
         return mask_from_bool(R.np_mul.diagonal() == np.arange(R.order))
     return _cached(R, "idempotents_mask", compute)
-
-
-def idempotents(R: FiniteRing) -> ElementSet:
-    """All e with e*e = e; always contains zero and one."""
-    return element_set_from_mask(R, idempotents_mask(R), "subset", check=False)
 
 
 def high_powers(R: FiniteRing) -> np.ndarray:
@@ -714,24 +635,6 @@ def nilpotents_mask(R: FiniteRing) -> int:
     return _cached(R, "nilpotents_mask", compute)
 
 
-def nilpotents(R: FiniteRing) -> ElementSet:
-    return element_set_from_mask(R, nilpotents_mask(R), "subset", check=False)
-
-
-def left_annihilator(R: FiniteRing, a: int) -> ElementSet:
-    """l_R(a) = {x : x a = 0}, returned as a plain subset (it is a left ideal)."""
-    [a] = element_indices(R, [a], "element")
-    return element_set_from_mask(R, mask_from_bool(R.np_mul[:, a] == R.zero), "subset",
-                                 check=False)
-
-
-def right_annihilator(R: FiniteRing, a: int) -> ElementSet:
-    """r_R(a) = {x : a x = 0}."""
-    [a] = element_indices(R, [a], "element")
-    return element_set_from_mask(R, mask_from_bool(R.np_mul[a] == R.zero), "subset",
-                                 check=False)
-
-
 def _commute_masks(R: FiniteRing) -> tuple[int, ...]:
     # row a is comm(a); the relation is symmetric, so it is also column a
     M = R.np_mul
@@ -739,13 +642,9 @@ def _commute_masks(R: FiniteRing) -> tuple[int, ...]:
 
 
 def commutant_mask(R: FiniteRing, a: int) -> int:
+    """comm(a) = {x : x a = a x}."""
     [a] = element_indices(R, [a], "element")
     return _commute_masks(R)[a]
-
-
-def commutant(R: FiniteRing, a: int) -> ElementSet:
-    """comm(a) = {x : x a = a x}."""
-    return element_set_from_mask(R, commutant_mask(R, a), "subset", check=False)
 
 
 def double_commutant_mask(R: FiniteRing, a: int) -> int:
@@ -756,10 +655,6 @@ def double_commutant_mask(R: FiniteRing, a: int) -> int:
     for y in mask_iter(comm[a]):
         m &= comm[y]
     return m
-
-
-def double_commutant(R: FiniteRing, a: int) -> ElementSet:
-    return element_set_from_mask(R, double_commutant_mask(R, a), "subset", check=False)
 
 
 def is_central(R: FiniteRing, a: int) -> bool:

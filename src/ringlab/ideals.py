@@ -11,7 +11,9 @@ disagreement raises CrossCheckMismatch.  The constant `LATTICE_CAP`, read
 when the lattice search runs, bounds only the lattice: only these routes, T9
 and `local` build it.
 
-Subsets travel as int bitmasks.  Additive subgroups come from two kernels
+Every subset is an int bitmask, at the API too: each radical, the socle
+checked two-sided by `socle`, and the (maximal, minimal, essential maximal)
+right ideals of `all_right_ideals`.  Additive subgroups come from two kernels
 in `core`: `additive_span` (greedy generators and the subgroup they span;
 a sum of subgroups is the span of their union) and `coset_labels`
 (label[x] = the least element of x + I).  For a subgroup I and any set C,
@@ -27,16 +29,15 @@ C-ordered rows before packing them into masks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import (
-    LATTICE_CAP, QUANTIFIER_CAP, CrossCheckMismatch, ElementSet, FiniteRing,
-    LatticeCap, SocleNotTwoSided, _cached, additive_span, array_from_mask,
-    bool_from_mask, coset_labels, element_indices, element_set_from_mask,
-    high_powers, idempotents_mask, mask_from_bool, mask_iter, row_masks, units_mask)
+    LATTICE_CAP, QUANTIFIER_CAP, CrossCheckMismatch, FiniteRing, LatticeCap,
+    SocleNotTwoSided, _cached, additive_span, array_from_mask, bool_from_mask,
+    coset_labels, high_powers, idempotents_mask, mask_from_bool, mask_iter,
+    row_masks, units_mask)
 from .constructions import is_two_sided_mask, quotient_ring
 
 
@@ -59,33 +60,8 @@ def additive_span_mask(R: FiniteRing, m: int) -> int:
     return mask_from_bool(reached)
 
 
-def right_ideal_generated(R: FiniteRing, gens) -> ElementSet:
-    """Smallest right ideal containing gens: the additive span of gens.R."""
-    if isinstance(gens, ElementSet):
-        gens = gens.elems
-    cyc = cyclic_masks(R)
-    u = 1 << R.zero
-    for s in element_indices(R, gens, "generator"):
-        u |= cyc[s]
-    return element_set_from_mask(R, additive_span_mask(R, u), "right-ideal", check=False)
-
-
 # ---------------------------------------------------------------------------
 # the full right-ideal lattice
-
-@dataclass(frozen=True)
-class IdealLattice:
-    """All right ideals of a ring, with the maximal/minimal/essential sublists.
-
-    Each tuple holds bitmasks, sorted lexicographically by their element
-    lists, as are all mask tuples here.
-    """
-    ring: FiniteRing
-    masks: tuple[int, ...]
-    maximal: tuple[int, ...]
-    minimal: tuple[int, ...]
-    essential_maximal: tuple[int, ...]
-
 
 def _lex_sorted(masks) -> tuple[int, ...]:
     return tuple(sorted(masks, key=lambda m: tuple(mask_iter(m))))
@@ -127,7 +103,10 @@ def all_right_ideal_masks(R: FiniteRing) -> tuple[int, ...]:
     return _cached(R, "lattice_masks", compute)
 
 
-def all_right_ideals(R: FiniteRing) -> IdealLattice:
+def all_right_ideals(R: FiniteRing) -> tuple[tuple[int, ...], ...]:
+    """The (maximal, minimal, essential maximal) right ideals, each a mask
+    tuple sorted lexicographically by element lists, as are all mask tuples
+    here."""
     def compute():
         masks = all_right_ideal_masks(R)
         full = R.full_mask()
@@ -139,8 +118,7 @@ def all_right_ideals(R: FiniteRing) -> IdealLattice:
         minimal = [m for m in nonzero
                    if not any(o != m and (o | m) == m for o in nonzero)]
         ess_max = [m for m in maximal if is_essential_mask(R, m)]
-        return IdealLattice(R, masks, _lex_sorted(maximal), _lex_sorted(minimal),
-                            _lex_sorted(ess_max))
+        return _lex_sorted(maximal), _lex_sorted(minimal), _lex_sorted(ess_max)
     return _cached(R, "lattice", compute)
 
 
@@ -155,10 +133,6 @@ def is_essential_mask(R: FiniteRing, E: int) -> bool:
         if (E & cyc[a]) == zero_bit:
             return False
     return True
-
-
-def is_essential(R: FiniteRing, E: ElementSet) -> bool:
-    return is_essential_mask(R, E.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +158,6 @@ def jacobson_radical_mask(R: FiniteRing) -> int:
     return _cached(R, "jacobson", compute)
 
 
-def jacobson_radical(R: FiniteRing) -> ElementSet:
-    return element_set_from_mask(R, jacobson_radical_mask(R), "two-sided-ideal", check=False)
-
-
 def socle_mask(R: FiniteRing) -> int:
     """Soc(R_R) = l(J(R)) = {x : xJ = 0}, which holds over any semilocal
     ring, finite rings included (Anderson & Fuller, section 15)."""
@@ -197,12 +167,12 @@ def socle_mask(R: FiniteRing) -> int:
     return _cached(R, "socle", compute)
 
 
-def socle(R: FiniteRing) -> ElementSet:
+def socle(R: FiniteRing) -> int:
     """Sum of all minimal right ideals; verified two-sided."""
     m = socle_mask(R)
     if not is_two_sided_mask(R, m):
         raise SocleNotTwoSided(f"socle of {R.name} fails left closure")
-    return element_set_from_mask(R, m, "two-sided-ideal", check=False)
+    return m
 
 
 def zhou_radical_mask(R: FiniteRing) -> int:
@@ -216,7 +186,7 @@ def zhou_radical_mask(R: FiniteRing) -> int:
         soc = socle(R)
         q = quotient_ring(R, soc)
         pullback = bool_from_mask(jacobson_radical_mask(q.ring), q.ring.order)[np.asarray(q.proj)]
-        in_soc = bool_from_mask(soc.mask, R.order)
+        in_soc = bool_from_mask(soc, R.order)
         unit_mod_soc = in_soc[R.np_add[:, R.neg[R.one]]][R.np_mul].any(axis=1)
         in_r = _quasi_regular(R, unit_mod_soc)[R.np_mul].all(axis=1)
         if not np.array_equal(pullback, in_r):
@@ -227,25 +197,23 @@ def zhou_radical_mask(R: FiniteRing) -> int:
     return _cached(R, "zhou", compute)
 
 
-def zhou_radical(R: FiniteRing) -> ElementSet:
-    return element_set_from_mask(R, zhou_radical_mask(R), "two-sided-ideal", check=False)
-
-
 # ---------------------------------------------------------------------------
 # lattice routes to J, Soc and delta (the cross-check; no production call)
 
 def _socle_by_lattice(R: FiniteRing) -> int:
     def compute():
+        _, minimal, _ = all_right_ideals(R)
         m = 1 << R.zero
-        for s in all_right_ideals(R).minimal:
+        for s in minimal:
             m |= s
         return additive_span_mask(R, m)
     return _cached(R, "socle_lattice", compute)
 
 
 def _jacobson_by_lattice(R: FiniteRing) -> int:
+    maximal, _, _ = all_right_ideals(R)
     m = R.full_mask()
-    for M in all_right_ideals(R).maximal:
+    for M in maximal:
         m &= M
     return m
 
@@ -253,8 +221,9 @@ def _jacobson_by_lattice(R: FiniteRing) -> int:
 def _zhou_by_essential(R: FiniteRing) -> int:
     """r1: the intersection of the essential maximal right ideals (empty
     intersection = R, matching the semisimple case)."""
+    _, _, essential_maximal = all_right_ideals(R)
     m = R.full_mask()
-    for E in all_right_ideals(R).essential_maximal:
+    for E in essential_maximal:
         m &= E
     return m
 
@@ -262,7 +231,7 @@ def _zhou_by_essential(R: FiniteRing) -> int:
 def _zhou_by_socle_quotient(R: FiniteRing) -> int:
     """The pullback of the lattice J(R/Soc) through the lattice socle."""
     soc = _socle_by_lattice(R)
-    q = quotient_ring(R, element_set_from_mask(R, soc, "two-sided-ideal", check=False))
+    q = quotient_ring(R, soc)
     jq = _jacobson_by_lattice(q.ring)
     return mask_from_bool(bool_from_mask(jq, q.ring.order)[list(q.proj)])
 
@@ -276,11 +245,6 @@ def summand_masks(R: FiniteRing) -> frozenset[int]:
         cyc = cyclic_masks(R)
         return frozenset(cyc[e] for e in mask_iter(idempotents_mask(R)))
     return _cached(R, "summands", compute)
-
-
-def is_direct_summand(R: FiniteRing, K: ElementSet | int) -> bool:
-    m = K if isinstance(K, int) else K.mask
-    return m in summand_masks(R)
 
 
 def r3_mask(R: FiniteRing) -> int:
@@ -355,8 +319,9 @@ def r4_ideal_mask(R: FiniteRing) -> int:
     of r1, r4 tests only `_singular_quotient` against `is_essential_mask`.
     """
     def compute():
+        maximal, _, _ = all_right_ideals(R)
         out = R.full_mask()
-        for M in all_right_ideals(R).maximal:
+        for M in maximal:
             if _singular_quotient(R, M):
                 out &= _bound_mask(R, M)
         return out
@@ -413,13 +378,9 @@ def delta_sharp_mask(R: FiniteRing) -> int:
     return _cached(R, "delta_sharp", compute)
 
 
-def delta_sharp(R: FiniteRing) -> ElementSet:
-    return element_set_from_mask(R, delta_sharp_mask(R), "subset", check=False)
-
-
-def is_semiprime_ideal(R: FiniteRing, I: ElementSet | int) -> bool:
+def is_semiprime_ideal(R: FiniteRing, I: int) -> bool:
     """aRa inside I implies a in I (checked in the contrapositive)."""
-    in_m = bool_from_mask(I if isinstance(I, int) else I.mask, R.order)
+    in_m = bool_from_mask(I, R.order)
     M = R.np_mul
     ara = M[M, np.arange(R.order)[:, None]]      # ara[a, r] = (a r) a
     return not bool((~in_m & in_m[ara].all(axis=1)).any())

@@ -16,9 +16,7 @@ from .core import (
     double_commutant_mask, idempotents_mask, mask_iter, nilpotents_mask,
 )
 from .constructions import quotient_ring
-from .ideals import (
-    all_right_ideals, jacobson_radical_mask, zhou_radical, zhou_radical_mask,
-)
+from .ideals import all_right_ideals, jacobson_radical_mask, zhou_radical_mask
 
 
 @dataclass(frozen=True)
@@ -140,9 +138,8 @@ def is_semisimple(R: FiniteRing, **_) -> PropertyResult:
 
 def is_local(R: FiniteRing, **_) -> PropertyResult:
     """Exactly one maximal right ideal."""
-    lat = all_right_ideals(R)
-    return PropertyResult(len(lat.maximal) == 1, None,
-                          f"{len(lat.maximal)} maximal right ideals")
+    maximal, _, _ = all_right_ideals(R)
+    return PropertyResult(len(maximal) == 1, None, f"{len(maximal)} maximal right ideals")
 
 
 def is_delta_clean(R: FiniteRing, **_) -> PropertyResult:
@@ -239,13 +236,13 @@ def corner_containment(R: FiniteRing, **_) -> PropertyResult:
 
 def quotient_abelian(R: FiniteRing, **_) -> PropertyResult:
     """is_abelian evaluated on R/delta(R); witness indices are coset indices."""
-    q = quotient_ring(R, zhou_radical(R))
+    q = quotient_ring(R, zhou_radical_mask(R))
     res = is_abelian(q.ring)
     return PropertyResult(res.verdict, res.witness, "abelian test on R/delta(R)")
 
 
 def quotient_reduced(R: FiniteRing, **_) -> PropertyResult:
-    q = quotient_ring(R, zhou_radical(R))
+    q = quotient_ring(R, zhou_radical_mask(R))
     res = is_reduced(q.ring)
     return PropertyResult(res.verdict, res.witness, "reduced test on R/delta(R)")
 

@@ -238,8 +238,9 @@ def test_enumerate_order_4(capsys):
 
 
 def test_enumerate_too_big_exit_2(capsys):
-    code, _, _ = run_cli("enumerate", "--order", "9", capsys=capsys)
-    assert code == 2
+    code, out, err = run_cli("enumerate", "--order", "9", capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == "error: enumeration is capped at order 8, got 9\n"
 
 
 def test_suite_small_corpus_passes(tmp_path, capsys):

@@ -8,8 +8,8 @@ import pytest
 from ringlab import constructions, core
 from ringlab.core import (
     DimensionMismatch, FiniteRing, NotCentralUnit, NotIdempotent, NotTwoSidedIdeal,
-    ParseError, SizeCap, clear_shared_cache, dumps_ring, idempotents, loads_ring, units,
-    element_set)
+    ParseError, SizeCap, clear_shared_cache, dumps_ring, ideal_failure, idempotents_mask,
+    loads_ring, mask_elems, mask_of, units_mask)
 from ringlab.constructions import (
     BimoduleSpec, abelian_group_factorizations, construct, corner_ring, decode_digits,
     direct_product, encode_digits, enumerate_unital_rings, formal_triangular, hst_ring,
@@ -24,9 +24,9 @@ def same_tables(R, S):
 
 def test_make_zn_edge_cases():
     assert make_zn(1).order == 1
-    assert units(make_zn(4)).elems == (1, 3)
+    assert mask_elems(units_mask(make_zn(4))) == (1, 3)
     Z3 = make_zn(3)
-    assert units(Z3).elems == (1, 2)  # field
+    assert mask_elems(units_mask(Z3)) == (1, 2)  # field
 
 
 def test_make_zn_matches_list_built_tables():
@@ -82,7 +82,7 @@ def test_direct_product_single_factor_identity(zn):
 
 def test_direct_product_z2z2_idempotents(zn):
     P = direct_product([zn[2], zn[2]])
-    assert len(idempotents(P)) == 4
+    assert idempotents_mask(P).bit_count() == 4
 
 
 def test_direct_product_size_cap(zn, monkeypatch):
@@ -101,7 +101,7 @@ def test_matrix_ring_m1_identity(zn):
 
 def test_matrix_ring_m2z2_units(m2z2):
     assert m2z2.order == 16
-    assert len(units(m2z2)) == 6
+    assert units_mask(m2z2).bit_count() == 6
 
 
 def test_matrix_product_against_plain_matmul(m2z3, zn):
@@ -190,12 +190,12 @@ def test_out_of_range_element_arguments_rejected(zn):
                   lambda: lst_ring(Z4, 4, 1)):
         with pytest.raises(DimensionMismatch):
             build()
-    assert two_sided_ideal_generated(Z4, [np.int32(2)]).elems == (0, 2)
+    assert mask_elems(two_sided_ideal_generated(Z4, [np.int32(2)])) == (0, 2)
 
 
 def test_quotient_by_zero_is_identity_tables(zn):
     Z4 = zn[4]
-    q = quotient_ring(Z4, element_set(Z4, [0], kind="two-sided-ideal"))
+    q = quotient_ring(Z4, mask_of([0]))
     assert same_tables(q.ring, Z4)
 
 
@@ -216,8 +216,26 @@ def test_quotient_by_whole_ring_is_zero_ring(zn):
 
 def test_quotient_requires_two_sided(t2z2):
     # {0, e12+e22} is a right ideal but not two-sided
+    m = mask_of([0, 3])
+    assert ideal_failure(t2z2, m, two_sided=False) is None
     with pytest.raises(NotTwoSidedIdeal):
-        quotient_ring(t2z2, element_set(t2z2, [0, 3], kind="right-ideal"))
+        quotient_ring(t2z2, m)
+
+
+def test_quotient_rejects_mask_bits_past_the_order(zn):
+    # bit 6 of Z5's mask is past element 4 but inside the mask's byte, so an
+    # unchecked read would drop it and quotient by {0}
+    with pytest.raises(DimensionMismatch,
+                       match=r"^ideal mask 0x41 is not a subset of Z5 \(0\.\.4\)$"):
+        quotient_ring(zn[5], 0b1000001)
+
+
+def test_quotient_rejects_mask_bits_past_the_byte(zn):
+    # bit 8 does not fit the mask's one byte, nor does a negative mask fit any,
+    # so an unchecked read would raise a bare OverflowError
+    for m in ((1 << 8) | 1, -1):
+        with pytest.raises(DimensionMismatch, match="is not a subset of"):
+            quotient_ring(zn[5], m)
 
 
 def test_hst_order_and_identity(zn):
@@ -423,7 +441,8 @@ def test_enumeration_counts(order, count):
 def test_enumeration_order4_profiles(zn):
     rings = list(enumerate_unital_rings(4, up_to_iso=True))
     # Z4, Z2[x]/(x^2), F4, Z2 x Z2 distinguished by unit/idempotent counts
-    profiles = sorted((len(units(R)), len(idempotents(R))) for R in rings)
+    profiles = sorted((units_mask(R).bit_count(), idempotents_mask(R).bit_count())
+                      for R in rings)
     assert profiles == [(1, 4), (2, 2), (2, 2), (3, 2)]
     assert any(ring_isomorphic(R, zn[4]) for R in rings)
 

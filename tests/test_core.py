@@ -11,9 +11,9 @@ from ringlab.constructions import (
     upper_triangular_ring)
 from ringlab.core import (
     AxiomViolation, DimensionMismatch, FiniteRing, RinglabError, SizeCap, check_ring_axioms,
-    clear_shared_cache, commutant, double_commutant, dumps_ring, element_set, idempotents,
-    left_annihilator, loads_ring, mask_elems, mask_of, nilpotents, right_annihilator, units,
-    unit_inverse, validate_ring)
+    clear_shared_cache, commutant_mask, double_commutant_mask, dumps_ring, ideal_failure,
+    idempotents_mask, loads_ring, mask_elems, mask_of, nilpotents_mask, units_mask,
+    validate_ring)
 
 
 def zn_tables(k):
@@ -93,75 +93,61 @@ def test_size_cap_is_checked_before_the_tables_are_scanned(monkeypatch):
 
 
 def test_units_z4(zn):
-    assert units(zn[4]).elems == (1, 3)
+    assert mask_elems(units_mask(zn[4])) == (1, 3)
 
 
 def test_units_z2_field(zn):
-    assert units(zn[2]).elems == (1,)
+    assert mask_elems(units_mask(zn[2])) == (1,)
 
 
 def test_units_m2z2_count(m2z2):
     # |GL2(F2)| = (4 - 1)(4 - 2)
-    assert len(units(m2z2)) == 6
+    assert units_mask(m2z2).bit_count() == 6
 
 
 def test_unit_inverse(zn):
-    assert unit_inverse(zn[4], 3) == 3
-    with pytest.raises(Exception):
-        unit_inverse(zn[4], 2)
+    # 3 is its own inverse in Z4; 2 is no unit
+    Z4 = zn[4]
+    assert (units_mask(Z4) >> 3) & 1 and Z4.np_mul[3, 3] == Z4.one
+    assert not (units_mask(Z4) >> 2) & 1
 
 
 def test_idempotents_z6(zn):
-    assert idempotents(zn[6]).elems == (0, 1, 3, 4)
+    assert mask_elems(idempotents_mask(zn[6])) == (0, 1, 3, 4)
 
 
 def test_idempotents_z4(zn):
-    assert idempotents(zn[4]).elems == (0, 1)
+    assert mask_elems(idempotents_mask(zn[4])) == (0, 1)
 
 
 def test_idempotents_field(zn):
-    assert idempotents(zn[7]).elems == (0, 1)
-
-
-def test_left_annihilator_examples(zn):
-    Z4 = zn[4]
-    assert left_annihilator(Z4, 2).elems == (0, 2)
-    assert left_annihilator(Z4, Z4.one).elems == (0,)
-    assert left_annihilator(Z4, 0).elems == (0, 1, 2, 3)
-
-
-def test_right_annihilator_matches_left_for_commutative(zn):
-    Z6 = zn[6]
-    for a in Z6.elements():
-        assert left_annihilator(Z6, a).elems == right_annihilator(Z6, a).elems
+    assert mask_elems(idempotents_mask(zn[7])) == (0, 1)
 
 
 def test_commutant_commutative_ring_is_everything(zn):
     Z6 = zn[6]
     for a in Z6.elements():
-        assert len(commutant(Z6, a)) == 6
+        assert commutant_mask(Z6, a) == Z6.full_mask()
 
 
 def test_double_commutant_e11_m2z2(m2z2):
     # E11 = entries (1,0,0,0) row-major; comm^2 is the diagonal matrices
     e11 = 8
-    dc = double_commutant(m2z2, e11)
-    assert dc.elems == (0, 1, 8, 9)
+    assert mask_elems(double_commutant_mask(m2z2, e11)) == (0, 1, 8, 9)
 
 
 def test_double_commutant_contains_element_and_inside_commutant(m2z2, zn):
     for R in (m2z2, zn[6], zn[4]):
         for a in R.elements():
-            c = commutant(R, a).mask
-            dc = double_commutant(R, a).mask
+            c = commutant_mask(R, a)
+            dc = double_commutant_mask(R, a)
             assert dc & ~c == 0
             assert (dc >> a) & 1
             assert (dc >> R.zero) & 1 and (dc >> R.one) & 1
 
 
 @pytest.mark.parametrize("element_fn", [
-    unit_inverse, left_annihilator, right_annihilator, commutant, core.commutant_mask,
-    double_commutant, core.double_commutant_mask, core.is_central])
+    core.commutant_mask, core.double_commutant_mask, core.is_central])
 def test_element_functions_reject_out_of_range_indices(zn, element_fn):
     # a negative index would silently wrap around in a numpy table
     for bad in (-1, zn[4].order):
@@ -170,18 +156,17 @@ def test_element_functions_reject_out_of_range_indices(zn, element_fn):
 
 
 def test_nilpotents(zn):
-    assert nilpotents(zn[4]).elems == (0, 2)
-    assert nilpotents(zn[6]).elems == (0,)
+    assert mask_elems(nilpotents_mask(zn[4])) == (0, 2)
+    assert mask_elems(nilpotents_mask(zn[6])) == (0,)
 
 
-def test_element_set_validation(zn):
+def test_ideal_failure_validation(zn):
     Z4 = zn[4]
-    es = element_set(Z4, [0, 2], kind="two-sided-ideal")
-    assert es.mask == mask_of([0, 2])
-    with pytest.raises(AxiomViolation):
-        element_set(Z4, [0, 1], kind="right-ideal")  # 1 generates everything
-    with pytest.raises(AxiomViolation):
-        element_set(Z4, [2], kind="right-ideal")  # missing zero
+    assert ideal_failure(Z4, mask_of([0, 2]), two_sided=True) is None
+    # 1 generates everything, -1 = 3 included
+    assert ideal_failure(Z4, mask_of([0, 1]), two_sided=False) == ("negation closure", (1,))
+    # missing zero
+    assert ideal_failure(Z4, mask_of([2]), two_sided=False) == ("contains zero", (0,))
 
 
 def test_mask_helpers():
@@ -281,9 +266,11 @@ def test_distributivity_reassertable_post_hoc(zn, t2z2):
 
 
 def test_units_form_group(m2z2):
-    um = units(m2z2).mask
+    um = units_mask(m2z2)
+    mul = m2z2.np_mul.tolist()
     for u in mask_elems(um):
-        assert (um >> unit_inverse(m2z2, u)) & 1
+        # u has a two-sided inverse among the units
+        assert any(mul[u][v] == mul[v][u] == m2z2.one for v in mask_elems(um))
         for v in mask_elems(um):
             assert (um >> int(m2z2.np_mul[u, v])) & 1
 
@@ -291,7 +278,7 @@ def test_units_form_group(m2z2):
 def test_clear_shared_cache_empties_dicts_in_place(monkeypatch):
     monkeypatch.setattr(core, "_SHARED_CACHE", {})
     A = validate_ring("A", 0, 1, *zn_tables(6))
-    units(A)
+    units_mask(A)
     assert A.cache
     clear_shared_cache()
     assert A.cache == {}

@@ -5,47 +5,42 @@ import pytest
 
 from ringlab import core, ideals
 from ringlab.core import (
-    QUANTIFIER_CAP, CrossCheckMismatch, DimensionMismatch, FiniteRing, LatticeCap,
-    array_from_mask, bool_from_mask, element_set, element_set_from_mask, mask_elems,
-    mask_from_bool, mask_of, units_mask)
+    QUANTIFIER_CAP, CrossCheckMismatch, FiniteRing, LatticeCap,
+    array_from_mask, bool_from_mask, mask_elems, mask_from_bool, mask_of, units_mask)
 from ringlab.constructions import (
-    construct, direct_product, enumerate_unital_rings, ks_ring, make_zn, matrix_ring,
-    quotient_ring, upper_triangular_ring)
+    construct, direct_product, enumerate_unital_rings, is_two_sided_mask, ks_ring, make_zn,
+    matrix_ring, quotient_ring, upper_triangular_ring)
 from ringlab.ideals import (
     _jacobson_by_lattice, _socle_by_lattice, _zhou_by_essential, _zhou_by_socle_quotient,
-    all_right_ideal_masks, all_right_ideals, assert_radical_agreement, delta_sharp,
-    delta_sharp_mask, is_delta_small_mask, is_direct_summand, is_essential,
-    is_semiprime_ideal, jacobson_radical, jacobson_radical_mask, r2_ideal_mask, r3_mask,
-    r4_ideal_mask, r5_mask, radical_characterizations, right_ideal_generated, socle,
-    socle_mask, summand_masks, zhou_radical, zhou_radical_mask)
+    additive_span_mask, all_right_ideal_masks, all_right_ideals, assert_radical_agreement,
+    cyclic_masks, delta_sharp_mask, is_delta_small_mask, is_essential_mask,
+    is_semiprime_ideal, jacobson_radical_mask, r2_ideal_mask, r3_mask, r4_ideal_mask,
+    r5_mask, radical_characterizations, socle, socle_mask, summand_masks, zhou_radical_mask)
 from ringlab.predicates import evaluate_predicate
 
 
 def test_right_ideal_generated(zn):
+    # the right ideal generated by gens is the additive span of the union of gR
     Z4 = zn[4]
-    assert right_ideal_generated(Z4, [1]).elems == (0, 1, 2, 3)
-    assert right_ideal_generated(Z4, [2]).elems == (0, 2)
-    assert right_ideal_generated(Z4, []).elems == (0,)
-    for gens in ([-1], [4], [True]):
-        with pytest.raises(DimensionMismatch):
-            right_ideal_generated(Z4, gens)
+    cyc = cyclic_masks(Z4)
+    assert mask_elems(additive_span_mask(Z4, cyc[1])) == (0, 1, 2, 3)
+    assert mask_elems(additive_span_mask(Z4, cyc[2])) == (0, 2)
+    assert mask_elems(additive_span_mask(Z4, 1 << Z4.zero)) == (0,)
 
 
 def test_all_right_ideals_z4(zn):
-    lat = all_right_ideals(zn[4])
-    assert [mask_elems(m) for m in lat.masks] == [(0,), (0, 1, 2, 3), (0, 2)]
-    assert lat.maximal == (mask_of([0, 2]),)
-    assert lat.minimal == (mask_of([0, 2]),)
+    assert [mask_elems(m) for m in all_right_ideal_masks(zn[4])] == [(0,), (0, 1, 2, 3), (0, 2)]
+    maximal, minimal, essential_maximal = all_right_ideals(zn[4])
+    assert maximal == minimal == essential_maximal == (mask_of([0, 2]),)
 
 
 def test_all_right_ideals_field(zn):
-    lat = all_right_ideals(zn[5])
-    assert len(lat.masks) == 2
+    assert len(all_right_ideal_masks(zn[5])) == 2
 
 
 def test_all_right_ideals_z2xz2(zn):
     P = direct_product([zn[2], zn[2]])
-    assert len(all_right_ideals(P).masks) == 4
+    assert len(all_right_ideal_masks(P)) == 4
 
 
 def set_sum(R, a, b):
@@ -55,8 +50,7 @@ def set_sum(R, a, b):
 
 
 def test_ideal_lattice_closed_under_sums(t2z2):
-    lat = all_right_ideals(t2z2)
-    masks = set(lat.masks)
+    masks = set(all_right_ideal_masks(t2z2))
     for a in masks:
         for b in masks:
             assert set_sum(t2z2, a, b) in masks
@@ -64,34 +58,34 @@ def test_ideal_lattice_closed_under_sums(t2z2):
 
 def test_is_essential(zn):
     Z4 = zn[4]
-    assert is_essential(Z4, element_set(Z4, range(4), check=False))
-    assert not is_essential(Z4, element_set(Z4, [0], check=False))
-    assert is_essential(Z4, element_set(Z4, [0, 2], check=False))
+    assert is_essential_mask(Z4, mask_of(range(4)))
+    assert not is_essential_mask(Z4, mask_of([0]))
+    assert is_essential_mask(Z4, mask_of([0, 2]))
 
 
 def test_socle_examples(zn, t2z2, m2z3):
-    assert socle(zn[4]).elems == (0, 2)
-    assert socle(m2z3).is_full()          # semisimple
+    assert mask_elems(socle(zn[4])) == (0, 2)
+    assert socle(m2z3) == m2z3.full_mask()          # semisimple
     # frozen from the minimal-ideal scan: strictly lower triangular part a = 0
-    assert socle(t2z2).elems == (0, 1, 2, 3)
-    assert socle(t2z2).kind == "two-sided-ideal"
+    assert mask_elems(socle(t2z2)) == (0, 1, 2, 3)
+    assert is_two_sided_mask(t2z2, socle(t2z2))
 
 
 def test_jacobson_examples(zn, m2z3):
-    assert jacobson_radical(zn[4]).elems == (0, 2)
-    assert jacobson_radical(m2z3).elems == (m2z3.zero,)
-    assert jacobson_radical(zn[7]).elems == (0,)
+    assert mask_elems(jacobson_radical_mask(zn[4])) == (0, 2)
+    assert mask_elems(jacobson_radical_mask(m2z3)) == (m2z3.zero,)
+    assert mask_elems(jacobson_radical_mask(zn[7])) == (0,)
 
 
 def test_zhou_examples(zn, m2z3):
-    assert zhou_radical(zn[4]).elems == (0, 2)
-    assert zhou_radical(m2z3).is_full()   # all 81 elements
-    assert len(zhou_radical(m2z3)) == 81
-    assert zhou_radical(zn[6]).is_full()  # no essential maximal right ideals
+    assert mask_elems(zhou_radical_mask(zn[4])) == (0, 2)
+    assert zhou_radical_mask(m2z3) == m2z3.full_mask()   # all 81 elements
+    assert zhou_radical_mask(m2z3).bit_count() == 81
+    assert zhou_radical_mask(zn[6]) == zn[6].full_mask()  # no essential maximal right ideals
 
 
 def test_zhou_t2z2(t2z2):
-    assert zhou_radical(t2z2).elems == (0, 1, 2, 3)
+    assert mask_elems(zhou_radical_mask(t2z2)) == (0, 1, 2, 3)
 
 
 def test_r3_matches_delta_on_z4(zn):
@@ -120,13 +114,13 @@ def test_delta_is_largest_delta_small(zn, t2z2, k0z2):
     for R in (zn[4], zn[8], t2z2, k0z2):
         d = zhou_radical_mask(R)
         assert r2_ideal_mask(R) == d
-        for m in all_right_ideals(R).masks:
+        for m in all_right_ideal_masks(R):
             if m | d != d and (m | d) == m:  # strictly contains delta
                 assert not is_delta_small_mask(R, m)
 
 
 def test_delta_sharp_z4(zn):
-    assert delta_sharp(zn[4]).elems == (0, 2)
+    assert mask_elems(delta_sharp_mask(zn[4])) == (0, 2)
 
 
 def test_delta_sharp_separates_on_m2z4(m2z4):
@@ -147,19 +141,19 @@ def test_delta_sharp_equals_delta_on_k0z2(k0z2):
 
 def test_semiprime_delta(zn, t2z2, m2z3, k0z4):
     for R in (zn[4], zn[6], t2z2, m2z3, k0z4):
-        assert is_semiprime_ideal(R, zhou_radical(R))
+        assert is_semiprime_ideal(R, zhou_radical_mask(R))
 
 
 def test_semiprime_negative(zn):
     # {0} is not semiprime in Z4: 2 Z4 2 = {0} but 2 != 0
-    assert not is_semiprime_ideal(zn[4], element_set(zn[4], [0], check=False))
+    assert not is_semiprime_ideal(zn[4], mask_of([0]))
 
 
 def test_is_direct_summand(zn, t2z2):
     Z4 = zn[4]
-    assert is_direct_summand(Z4, element_set(Z4, [0], check=False))
-    assert is_direct_summand(Z4, element_set(Z4, range(4), check=False))
-    assert not is_direct_summand(Z4, element_set(Z4, [0, 2], check=False))
+    assert mask_of([0]) in summand_masks(Z4)
+    assert mask_of(range(4)) in summand_masks(Z4)
+    assert mask_of([0, 2]) not in summand_masks(Z4)
 
 
 def test_j_subset_delta_subset_delta_sharp(zn, t2z2, m2z3, m2z4, k0z2):
@@ -195,17 +189,16 @@ def test_agreement_gates_quantified_routes(m2z3):
 
 def test_maximal_right_ideals_satisfy_definition(zn, t2z2):
     # M maximal iff for all a outside M, M + aR = R
-    from ringlab.ideals import cyclic_masks
     for R in (zn[6], zn[8], t2z2):
-        lat = all_right_ideals(R)
+        maximal, _, _ = all_right_ideals(R)
         full = R.full_mask()
         cyc = cyclic_masks(R)
-        for m in lat.masks:
+        for m in all_right_ideal_masks(R):
             if m == full:
                 continue
             is_max = all(set_sum(R, m, cyc[a]) == full
                          for a in R.elements() if not (m >> a) & 1)
-            assert is_max == (m in lat.maximal)
+            assert is_max == (m in maximal)
 
 
 def _outcome(fn, R):
@@ -274,8 +267,8 @@ def test_lattice_matches_brute_force_on_small_corpus_tables(default_corpus):
     for R in tables.values():
         assert set(all_right_ideal_masks(R)) == brute_force_right_ideals(R), R.name
         # a maximal right ideal is either essential or a direct summand
-        lat = all_right_ideals(R)
-        assert set(lat.essential_maximal) == set(lat.maximal) - summand_masks(R), R.name
+        maximal, _, essential_maximal = all_right_ideals(R)
+        assert set(essential_maximal) == set(maximal) - summand_masks(R), R.name
 
 
 def pairwise_lattice(R):
@@ -328,7 +321,7 @@ def lattice_free_delta(R):
     per-element unit loop."""
     J = array_from_mask(jacobson_by_units_loop(R), R.order)
     soc = mask_from_bool((R.np_mul[:, J] == R.zero).all(axis=1))
-    q = quotient_ring(R, element_set_from_mask(R, soc, "two-sided-ideal"))
+    q = quotient_ring(R, soc)
     jq = bool_from_mask(jacobson_by_units_loop(q.ring), q.ring.order)
     return mask_from_bool(jq[list(q.proj)])
 
@@ -446,15 +439,15 @@ def literal_r4(R):
     """r4 as the definition reads: for each proper two-sided ideal P, build
     Q = R/P and its lattice, and keep P when some maximal right ideal Mq of Q
     has Q/Mq faithful over Q and its preimage Mr has R/Mr singular."""
-    from ringlab.constructions import is_two_sided_mask
     from ringlab.ideals import _bound_mask, _singular_quotient
     out = R.full_mask()
     for P in all_right_ideal_masks(R):
         if P == R.full_mask() or not is_two_sided_mask(R, P):
             continue
-        q = quotient_ring(R, element_set_from_mask(R, P, "two-sided-ideal"))
+        q = quotient_ring(R, P)
         Q = q.ring
-        for Mq in all_right_ideals(Q).maximal:
+        maximal, _, _ = all_right_ideals(Q)
+        for Mq in maximal:
             if _bound_mask(Q, Mq) != 1 << Q.zero:
                 continue                  # Q/Mq is not faithful over Q
             if _singular_quotient(R, mask_from_bool(bool_from_mask(Mq, Q.order)[list(q.proj)])):

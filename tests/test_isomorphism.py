@@ -27,9 +27,14 @@ ORDER_16 = ("M(2,Zn(2))", "Ks(Zn(2),s=1)", "K0(Zn(2))", "Morita(Zn(2),Zn(2))",
             "Prod(Zn(2),Zn(2),Zn(2),Zn(2))")
 
 
+def permutation(R, seed):
+    """The seeded permutation p of R's elements that `relabelled` applies."""
+    return np.random.default_rng(seed).permutation(R.order)
+
+
 def relabelled(R, seed):
-    """A copy of R whose element x is p[x], for a seeded permutation p."""
-    p = np.random.default_rng(seed).permutation(R.order)
+    """A copy of R whose element x is p[x], for p = permutation(R, seed)."""
+    p = permutation(R, seed)
     add, mul = np.empty_like(R.np_add), np.empty_like(R.np_mul)
     add[p[:, None], p] = p[R.np_add]
     mul[p[:, None], p] = p[R.np_mul]

@@ -25,12 +25,12 @@ import pytest
 
 from ringlab import core, predicates
 from ringlab.constructions import (
-    corner_ring, enumerate_unital_rings, is_right_ideal_mask, is_two_sided_mask,
-    quotient_ring, two_sided_ideal_generated)
+    corner_ring, enumerate_unital_rings, is_two_sided_mask, quotient_ring,
+    two_sided_ideal_generated)
 from ringlab.core import (
-    ARMENDARIZ_CAP, AxiomViolation, CharacterizationMismatch, array_from_mask,
-    bool_from_mask, double_commutant_mask, element_set, element_set_from_mask,
-    idempotents_mask, mask_elems, mask_from_bool, mask_of, nilpotents_mask, units_mask)
+    ARMENDARIZ_CAP, CharacterizationMismatch, array_from_mask, bool_from_mask,
+    double_commutant_mask, idempotents_mask, mask_elems, mask_from_bool, mask_of,
+    nilpotents_mask, units_mask)
 from ringlab.ideals import (
     _bound_mask, additive_span_mask, all_right_ideal_masks, cyclic_masks,
     delta_sharp_mask, is_semiprime_ideal, jacobson_radical_mask, socle_mask,
@@ -343,15 +343,6 @@ def test_element_kernels_match_scalar_loops(rings):
         assert cyclic_masks(R) == cyclic_oracle(R), R.name
 
 
-def test_element_set_takes_table_entries(rings):
-    # numpy scalars, as read from a table, past bit 63
-    R = max(rings, key=lambda R: R.order)
-    entries = np.unique(R.np_mul[R.order - 1])
-    es = element_set(R, entries)
-    assert es.elems == tuple(entries.tolist()) and plain_ints(es.elems)
-    assert es.mask == mask_of(entries.tolist())
-
-
 def test_delta_sharp_matches_power_scan(rings):
     for R in rings:
         got = delta_sharp_mask(R)
@@ -374,19 +365,15 @@ def test_closure_kernel_matches_scalar_check_and_witness(rings):
     for R in rings:
         neg = neg_oracle(R)
         for m in candidate_masks(R, rng):
-            for kind, two_sided in (("right-ideal", False), ("two-sided-ideal", True)):
+            for two_sided in (False, True):
                 want = closure_oracle(R, neg, m, two_sided)
-                assert core.ideal_failure(R, m, two_sided) == want, (R.name, m, kind)
-                test = is_two_sided_mask if two_sided else is_right_ideal_mask
-                assert test(R, m) == (want is None)
-                if want is None:
-                    element_set_from_mask(R, m, kind)
-                    continue
-                failures.add(want[0])
-                with pytest.raises(AxiomViolation) as exc:
-                    element_set_from_mask(R, m, kind)
-                assert exc.value.axiom == f"{kind} {want[0]}"
-                assert exc.value.witness == want[1] and plain_ints(exc.value.witness)
+                got = core.ideal_failure(R, m, two_sided)
+                assert got == want, (R.name, m, two_sided)
+                if two_sided:
+                    assert is_two_sided_mask(R, m) == (want is None)
+                if want is not None:
+                    failures.add(want[0])
+                    assert plain_ints(got[1])
     assert failures == {"contains zero", "negation closure", "addition closure",
                         "right multiplication closure", "left multiplication closure"}
 
@@ -407,7 +394,7 @@ def test_quotient_tables_match_coset_walk(rings):
     for R in rings:
         for m in two_sided_ideals(R, rng):
             proj, add, mul, zero, one = quotient_oracle(R, mask_elems(m))
-            q = quotient_ring(R, element_set_from_mask(R, m, "two-sided-ideal"))
+            q = quotient_ring(R, m)
             assert q.proj == proj and plain_ints(q.proj), (R.name, m)
             assert (q.ring.np_add.tolist(), q.ring.np_mul.tolist()) == (add, mul), (R.name, m)
             assert (q.ring.zero, q.ring.one) == (zero, one)
@@ -446,8 +433,8 @@ def test_span_kernels_match_fixpoint_oracles(rings):
             assert core.coset_labels(R, m).tolist() == least, (R.name, m)
         for gens in ([], [rng.randrange(R.order)], sample(rng, R.elements(), 2)):
             got = two_sided_ideal_generated(R, gens)
-            assert got.mask == two_sided_closure_oracle(R, gens), (R.name, gens)
-            assert plain_ints(got.elems)
+            assert type(got) is int
+            assert got == two_sided_closure_oracle(R, gens), (R.name, gens)
 
 
 def test_row_masks_pack_any_layout(rings):

@@ -16,7 +16,7 @@ import json
 import sys
 
 from .core import (
-    ARMENDARIZ_CAP, TOOL_VERSION, CrossCheckMismatch, CharacterizationMismatch, RinglabError,
+    TOOL_VERSION, CrossCheckMismatch, CharacterizationMismatch, RinglabError,
     dumps_ring, mask_elems, ring_to_json_dict)
 from .constructions import construct, enumerate_unital_rings
 from .ideals import (
@@ -99,7 +99,7 @@ def cmd_check(args) -> int:
             print(f"unknown predicate {n!r}; known: {', '.join(sorted(PREDICATES))}",
                   file=sys.stderr)
             return 2
-    report = property_report(ring, names, args.armendariz_cap)
+    report = property_report(ring, names)
     d = report.to_json_dict()
     if args.format == "json":
         _write(json.dumps(d, indent=1) + "\n", args.out)
@@ -117,7 +117,7 @@ def cmd_suite(args) -> int:
     spec, members = build_corpus(args.corpus)
     if args.verbose:
         print(f"corpus {spec}: {len(members)} members", file=sys.stderr)
-    report = run_theorem_suite(members, spec, armendariz_cap=args.armendariz_cap)
+    report = run_theorem_suite(members, spec)
     _write(report.to_json() if args.format == "json" else report.to_markdown(), args.out)
     if args.verbose:
         for c in report.cases:
@@ -142,8 +142,7 @@ def cmd_hunt(args) -> int:
             return 2
     spec, members = build_corpus(args.corpus)
     findings = hunt_counterexample(HuntQuery(antecedent, consequent,
-                                             stop_at_first=not args.all),
-                                   members, args.armendariz_cap)
+                                             stop_at_first=not args.all), members)
     payload = {"tool_version": TOOL_VERSION, "corpus": spec,
                "implication": f"{antecedent} => {consequent}",
                "counterexamples": [f.to_json_dict() for f in findings]}
@@ -175,7 +174,6 @@ _OPTIONS = {
     "all": (("--all",), dict(action="store_true", help="collect all counterexamples")),
     "order": (("--order",), dict(type=int, required=True)),
     "up_to_iso": (("--up-to-iso",), dict(action="store_true")),
-    "armendariz_cap": (("--armendariz-cap",), dict(type=int, default=ARMENDARIZ_CAP)),
 }
 
 # Each subcommand: its function, its help, and exactly the options the function reads.
@@ -183,11 +181,11 @@ _COMMANDS = {
     "construct": (cmd_construct, "build a ring and write its JSON", "ring out"),
     "radical": (cmd_radical, "compute radicals of a ring",
                 "ring out format which all_characterizations"),
-    "check": (cmd_check, "evaluate predicates on a ring", "ring out format props armendariz_cap"),
+    "check": (cmd_check, "evaluate predicates on a ring", "ring out format props"),
     "suite": (cmd_suite, "run the theorem suite over a corpus",
-              "out format verbose corpus jobs armendariz_cap"),
+              "out format verbose corpus jobs"),
     "hunt": (cmd_hunt, "hunt for a counterexample to an implication",
-             "implies corpus all out armendariz_cap"),
+             "implies corpus all out"),
     "enumerate": (cmd_enumerate, "enumerate unital rings of a given order",
                   "order up_to_iso out"),
 }

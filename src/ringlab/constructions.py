@@ -31,7 +31,7 @@ from .core import (
     AxiomViolation, BimoduleAxiomViolation, ClosureViolation, DimensionMismatch,
     FiniteRing, NotCentral, NotCentralUnit, NotIdempotent, NotTwoSidedIdeal,
     ParseError, SizeCap, _cached, _check_table, _is_int, additive_span, bool_from_mask,
-    check_ring_axioms, check_size, coset_labels, element_indices, ideal_failure,
+    check_mask, check_ring_axioms, check_size, coset_labels, element_indices, ideal_failure,
     is_central, loads_ring, mask_elems, mask_from_bool, nilpotents_mask,
     idempotents_mask, units_mask,
 )
@@ -268,9 +268,7 @@ def quotient_ring(R: FiniteRing, m: int) -> QuotientRing:
     """R/I for the two-sided ideal I given as the mask m, with canonical
     (smallest-index) coset representatives, numbered in increasing order of
     representative."""
-    if not 0 <= m <= R.full_mask():
-        raise DimensionMismatch(f"ideal mask {m:#x} is not a subset of {R.name} "
-                                f"(0..{R.order - 1})")
+    check_mask(R, m)
     ideal = mask_elems(m)
     if not is_two_sided_mask(R, m):
         raise NotTwoSidedIdeal(f"{ideal} is not a two-sided ideal of {R.name}")

@@ -20,12 +20,12 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-# Size and effort caps.  ARMENDARIZ_CAP is a default that a call (and
-# --armendariz-cap) may override; the others are fixed.  SIZE_CAP is read
-# when `check_size` runs, before any table of that order is built or scanned.
+# Size and effort caps, all fixed.  The module that checks a cap reads its
+# own binding when the check runs, so a test patches the cap there; SIZE_CAP
+# is read by `check_size`, before any table of that order is built or scanned.
 SIZE_CAP = 4096  # largest ring order
 LATTICE_CAP = 100_000  # right ideals one lattice search may find
-ARMENDARIZ_CAP = 128
+ARMENDARIZ_CAP = 128  # largest order the delta-linear Armendariz scan accepts
 QUANTIFIER_CAP = 32  # largest order at which the r2 and r4 routes to delta run
 
 TOOL_VERSION = "0.1.0"
@@ -49,7 +49,7 @@ class AxiomViolation(RinglabError):
 
 
 class SizeCap(RinglabError):
-    """A ring would exceed SIZE_CAP, or an enumeration or check its own cap."""
+    """A ring would exceed SIZE_CAP, or an enumeration or a scan its own cap."""
 
 
 class LatticeCap(RinglabError):
@@ -258,6 +258,14 @@ def element_indices(R: FiniteRing, xs: Iterable, role: str) -> list[int]:
     return out
 
 
+def check_mask(R: FiniteRing, m: int) -> None:
+    """DimensionMismatch unless the mask m is a subset of R: bits past the
+    order would be dropped or overflow when the mask is read."""
+    if not 0 <= m <= R.full_mask():
+        raise DimensionMismatch(f"ideal mask {m:#x} is not a subset of {R.name} "
+                                f"(0..{R.order - 1})")
+
+
 def ideal_failure(R: FiniteRing, m: int, two_sided: bool) -> Optional[tuple[str, tuple]]:
     """The first closure law the masked set breaks as a right (or two-sided)
     ideal, with its witness, or None if it is one.
@@ -266,8 +274,8 @@ def ideal_failure(R: FiniteRing, m: int, two_sided: bool) -> Optional[tuple[str,
     -a, a + b (b in the set ascending) and a r (r ascending); then, for a
     two-sided ideal, r a for each member a ascending and r ascending.
     """
-    n = R.order
-    in_m = bool_from_mask(m, n)
+    check_mask(R, m)
+    in_m = bool_from_mask(m, R.order)
     if not in_m[R.zero]:
         return "contains zero", (R.zero,)
     elems = np.flatnonzero(in_m)
@@ -589,8 +597,8 @@ def loads_ring(text: str) -> FiniteRing:
 # element-level machinery
 
 def _cached(R: FiniteRing, key, compute):
-    # A key holds every argument that changes the value, such as the
-    # Armendariz cap of a predicate; LATTICE_CAP is a constant, not a key part.
+    # A key holds every argument that changes the value, such as a
+    # predicate's name; the caps are constants, not key parts.
     cache = R.cache
     if key not in cache:
         cache[key] = compute()

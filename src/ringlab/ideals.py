@@ -36,7 +36,7 @@ import numpy as np
 from .core import (
     LATTICE_CAP, QUANTIFIER_CAP, CrossCheckMismatch, FiniteRing, LatticeCap,
     SocleNotTwoSided, _cached, additive_span, array_from_mask, bool_from_mask,
-    coset_labels, high_powers, idempotents_mask, mask_from_bool, mask_iter,
+    check_mask, coset_labels, high_powers, idempotents_mask, mask_from_bool, mask_iter,
     row_masks, units_mask)
 from .constructions import is_two_sided_mask, quotient_ring
 
@@ -380,6 +380,7 @@ def delta_sharp_mask(R: FiniteRing) -> int:
 
 def is_semiprime_ideal(R: FiniteRing, I: int) -> bool:
     """aRa inside I implies a in I (checked in the contrapositive)."""
+    check_mask(R, I)
     in_m = bool_from_mask(I, R.order)
     M = R.np_mul
     ara = M[M, np.arange(R.order)[:, None]]      # ara[a, r] = (a r) a

@@ -62,17 +62,17 @@ def _relative_reversible(R: FiniteRing, rad_mask: int, method: str) -> PropertyR
     return PropertyResult(False, w, method)
 
 
-def is_reversible(R: FiniteRing, **_) -> PropertyResult:
+def is_reversible(R: FiniteRing) -> PropertyResult:
     """ab = 0 implies ba = 0."""
     return _relative_reversible(R, 1 << R.zero, "exhaustive pair scan")
 
 
-def is_j_reversible(R: FiniteRing, **_) -> PropertyResult:
+def is_j_reversible(R: FiniteRing) -> PropertyResult:
     """ab = 0 implies ba in J(R)."""
     return _relative_reversible(R, jacobson_radical_mask(R), "pair scan against J(R)")
 
 
-def is_delta_reversible(R: FiniteRing, **_) -> PropertyResult:
+def is_delta_reversible(R: FiniteRing) -> PropertyResult:
     """ab = 0 implies ba in delta(R), decided by three routes that must agree:
     the definition, the square-zero criterion, and the annihilator criterion.
 
@@ -102,7 +102,7 @@ def is_delta_reversible(R: FiniteRing, **_) -> PropertyResult:
     return by_def
 
 
-def is_abelian(R: FiniteRing, **_) -> PropertyResult:
+def is_abelian(R: FiniteRing) -> PropertyResult:
     """Every idempotent is central; witness is (e, x) with ex != xe."""
     M = R.np_mul
     for e in mask_iter(idempotents_mask(R)):
@@ -113,7 +113,7 @@ def is_abelian(R: FiniteRing, **_) -> PropertyResult:
     return PropertyResult(True, None, "idempotent commutation scan")
 
 
-def is_reduced(R: FiniteRing, **_) -> PropertyResult:
+def is_reduced(R: FiniteRing) -> PropertyResult:
     """No nonzero nilpotents; the square-zero and power scans must agree."""
     nil = nilpotents_mask(R) & ~(1 << R.zero)
     squares = R.np_mul.diagonal()
@@ -126,7 +126,7 @@ def is_reduced(R: FiniteRing, **_) -> PropertyResult:
     return PropertyResult(True, None, "nilpotent scan")
 
 
-def is_semisimple(R: FiniteRing, **_) -> PropertyResult:
+def is_semisimple(R: FiniteRing) -> PropertyResult:
     """delta(R) = R, cross-checked against J(R) = 0."""
     by_delta = zhou_radical_mask(R) == R.full_mask()
     by_j = jacobson_radical_mask(R) == (1 << R.zero)
@@ -136,13 +136,13 @@ def is_semisimple(R: FiniteRing, **_) -> PropertyResult:
     return PropertyResult(by_delta, None, "delta(R) = R, cross-checked with J(R) = 0")
 
 
-def is_local(R: FiniteRing, **_) -> PropertyResult:
+def is_local(R: FiniteRing) -> PropertyResult:
     """Exactly one maximal right ideal."""
     maximal, _, _ = all_right_ideals(R)
     return PropertyResult(len(maximal) == 1, None, f"{len(maximal)} maximal right ideals")
 
 
-def is_delta_clean(R: FiniteRing, **_) -> PropertyResult:
+def is_delta_clean(R: FiniteRing) -> PropertyResult:
     """Every x is idempotent + element of delta(R)."""
     in_d = bool_from_mask(zhou_radical_mask(R), R.order)
     idem = array_from_mask(idempotents_mask(R), R.order)
@@ -152,7 +152,7 @@ def is_delta_clean(R: FiniteRing, **_) -> PropertyResult:
     return PropertyResult(True, None, "exhaustive decomposition scan")
 
 
-def is_delta_quasipolar(R: FiniteRing, **_) -> PropertyResult:
+def is_delta_quasipolar(R: FiniteRing) -> PropertyResult:
     """As-used definition: every a admits p = p^2 in comm^2(a) with a + p in delta(R)."""
     method = "as-used definition: p^2 = p in comm^2(a), a + p in delta(R)"
     d = zhou_radical_mask(R)
@@ -176,18 +176,18 @@ def is_delta_quasipolar(R: FiniteRing, **_) -> PropertyResult:
 _QUAD_BLOCK = 1 << 14    # quadruples per block: larger blocks raise peak memory, not speed
 
 
-def is_delta_linear_armendariz(R: FiniteRing, armendariz_cap: int = ARMENDARIZ_CAP,
-                               **_) -> PropertyResult:
+def is_delta_linear_armendariz(R: FiniteRing) -> PropertyResult:
     """(a0 + a1 x)(b0 + b1 x) = 0 forces every a_i b_j into delta(R).
 
     a0 b0 = a1 b1 = 0 land in delta automatically, so only the cross products
     need checking: a0 b1 + a1 b0 = 0 must put both in delta.  The zero pairs
     (a0, b0) are scanned in row blocks of about `_QUAD_BLOCK` quadruples
     against all zero pairs (a1, b1); the witness is the first bad (a0, b0) in
-    `argwhere` order, then its first bad (a1, b1).
+    `argwhere` order, then its first bad (a1, b1).  Rings above
+    ARMENDARIZ_CAP, read from this module when the scan runs, raise SizeCap.
     """
-    if R.order > armendariz_cap:
-        raise SizeCap(f"{R.name}: order {R.order} exceeds Armendariz cap {armendariz_cap}")
+    if R.order > ARMENDARIZ_CAP:
+        raise SizeCap(f"{R.name}: order {R.order} exceeds Armendariz cap {ARMENDARIZ_CAP}")
     method = "zero-pair quadruple scan"
     M = R.np_mul
     out_d = ~bool_from_mask(zhou_radical_mask(R), R.order)
@@ -206,7 +206,7 @@ def is_delta_linear_armendariz(R: FiniteRing, armendariz_cap: int = ARMENDARIZ_C
     return PropertyResult(True, None, method)
 
 
-def idempotents_lift_mod_delta(R: FiniteRing, **_) -> PropertyResult:
+def idempotents_lift_mod_delta(R: FiniteRing) -> PropertyResult:
     """Every f with f^2 - f in delta(R) is within delta(R) of a true idempotent."""
     in_d = bool_from_mask(zhou_radical_mask(R), R.order)
     A, neg = R.np_add, R.neg
@@ -219,7 +219,7 @@ def idempotents_lift_mod_delta(R: FiniteRing, **_) -> PropertyResult:
     return PropertyResult(True, None, "coset idempotent scan")
 
 
-def corner_containment(R: FiniteRing, **_) -> PropertyResult:
+def corner_containment(R: FiniteRing) -> PropertyResult:
     """eR(1-e) + (1-e)Re inside delta(R) for every idempotent e."""
     in_d = bool_from_mask(zhou_radical_mask(R), R.order)
     M = R.np_mul
@@ -234,24 +234,24 @@ def corner_containment(R: FiniteRing, **_) -> PropertyResult:
     return PropertyResult(True, None, "idempotent corner scan")
 
 
-def quotient_abelian(R: FiniteRing, **_) -> PropertyResult:
+def quotient_abelian(R: FiniteRing) -> PropertyResult:
     """is_abelian evaluated on R/delta(R); witness indices are coset indices."""
     q = quotient_ring(R, zhou_radical_mask(R))
     res = is_abelian(q.ring)
     return PropertyResult(res.verdict, res.witness, "abelian test on R/delta(R)")
 
 
-def quotient_reduced(R: FiniteRing, **_) -> PropertyResult:
+def quotient_reduced(R: FiniteRing) -> PropertyResult:
     q = quotient_ring(R, zhou_radical_mask(R))
     res = is_reduced(q.ring)
     return PropertyResult(res.verdict, res.witness, "reduced test on R/delta(R)")
 
 
-def always_true(R: FiniteRing, **_) -> PropertyResult:
+def always_true(R: FiniteRing) -> PropertyResult:
     return PropertyResult(True, None, "constant")
 
 
-PREDICATES: dict[str, Callable[..., PropertyResult]] = {
+PREDICATES: dict[str, Callable[[FiniteRing], PropertyResult]] = {
     "reversible": is_reversible,
     "j-reversible": is_j_reversible,
     "delta-reversible": is_delta_reversible,
@@ -270,7 +270,7 @@ PREDICATES: dict[str, Callable[..., PropertyResult]] = {
 }
 
 
-def predicate(name: str) -> Callable[..., PropertyResult]:
+def predicate(name: str) -> Callable[[FiniteRing], PropertyResult]:
     try:
         return PREDICATES[name]
     except KeyError:
@@ -278,15 +278,12 @@ def predicate(name: str) -> Callable[..., PropertyResult]:
             f"unknown predicate {name!r}; known: {', '.join(sorted(PREDICATES))}") from None
 
 
-def evaluate_predicate(R: FiniteRing, name: str,
-                       armendariz_cap: int = ARMENDARIZ_CAP) -> PropertyResult:
-    key = ("pred", name, armendariz_cap if name == "delta-linear-armendariz" else 0)
-    return _cached(R, key, lambda: predicate(name)(R, armendariz_cap=armendariz_cap))
+def evaluate_predicate(R: FiniteRing, name: str) -> PropertyResult:
+    return _cached(R, ("pred", name), lambda: predicate(name)(R))
 
 
-def property_report(R: FiniteRing, names,
-                    armendariz_cap: int = ARMENDARIZ_CAP) -> PropertyReport:
+def property_report(R: FiniteRing, names) -> PropertyReport:
     report = PropertyReport(R.name)
     for name in names:
-        report.results[name] = evaluate_predicate(R, name, armendariz_cap)
+        report.results[name] = evaluate_predicate(R, name)
     return report

@@ -88,21 +88,6 @@ def build_corpus(spec: str = "default") -> tuple[str, list[CorpusMember]]:
 
 
 @dataclass
-class SuiteContext:
-    members: list[CorpusMember]
-    armendariz_cap: int = ARMENDARIZ_CAP
-
-    def pred(self, R: FiniteRing, name: str) -> bool:
-        return evaluate_predicate(R, name, self.armendariz_cap).verdict
-
-    def pred_result(self, R: FiniteRing, name: str):
-        return evaluate_predicate(R, name, self.armendariz_cap)
-
-    def delta(self, R: FiniteRing) -> int:
-        return zhou_radical_mask(R)
-
-
-@dataclass
 class CaseResult:
     id: str
     statement: str
@@ -123,7 +108,7 @@ class Failure:
     witness: Optional[tuple] = None
 
 
-def _shape_mask(member: CorpusMember, ctx: SuiteContext) -> Optional[tuple[int, str]]:
+def _shape_mask(member: CorpusMember) -> Optional[tuple[int, str]]:
     """The shape of delta that the member's construction claims, read from
     ring.meta, as (mask, relation) where relation is 'eq' or 'subset' (delta
     contained in the shape); None if the construction claims none."""
@@ -133,7 +118,7 @@ def _shape_mask(member: CorpusMember, ctx: SuiteContext) -> Optional[tuple[int, 
         P, e = meta["bases"][0], meta["e"]
         M = P.np_mul
         in_side = np.zeros(P.order, dtype=bool)
-        in_side[M[M[e, array_from_mask(ctx.delta(P), P.order)], e]] = True
+        in_side[M[M[e, array_from_mask(zhou_radical_mask(P), P.order)], e]] = True
         return mask_from_bool(in_side[meta["embed"]]), "eq"
     if "delta_digits" not in meta:
         return None
@@ -142,7 +127,7 @@ def _shape_mask(member: CorpusMember, ctx: SuiteContext) -> Optional[tuple[int, 
     for b, digit in zip(meta["delta_digits"], digits):
         if b is not None:
             B = meta["bases"][b]
-            ok &= bool_from_mask(ctx.delta(B), B.order)[digit]
+            ok &= bool_from_mask(zhou_radical_mask(B), B.order)[digit]
     return mask_from_bool(ok), meta["delta_relation"]
 
 
@@ -152,9 +137,10 @@ class Case:
     satisfies `hypothesis`.  Without a `scope` the subjects are the corpus
     rings, one evaluation per distinct table; with one they are the members of
     those kinds, whose bases and meta the parts may read.  A part is a
-    predicate name or a function of (ctx, subject); a conclusion returns a
+    predicate name or a function of the subject; a conclusion returns a
     bool or PropertyResult (failing with `detail`), a Failure, or a pair
-    (instances checked, Failure or None).  `run` replaces the corpus walk."""
+    (instances checked, Failure or None).  `run(members, case)` replaces the
+    corpus walk."""
     id: str
     statement: str
     conclusion: Union[str, Callable, None] = None
@@ -162,17 +148,17 @@ class Case:
     scope: tuple[str, ...] = ()
     detail: str = "conclusion fails"
     kind: str = "proved"
-    run: Optional[Callable[[SuiteContext, "Case"], CaseResult]] = None
+    run: Optional[Callable[[list[CorpusMember], "Case"], CaseResult]] = None
 
 
-def _evaluate(ctx: SuiteContext, case: Case, subject) -> tuple[int, Optional[Failure]]:
+def _evaluate(case: Case, subject) -> tuple[int, Optional[Failure]]:
     """(instances checked, failure or None) of one case on one subject."""
     hyp, concl = case.hypothesis, case.conclusion
     try:
-        if hyp is not None and not (ctx.pred(subject, hyp) if isinstance(hyp, str)
-                                    else hyp(ctx, subject)):
+        if hyp is not None and not (evaluate_predicate(subject, hyp).verdict
+                                    if isinstance(hyp, str) else hyp(subject)):
             return 0, None
-        res = ctx.pred_result(subject, concl) if isinstance(concl, str) else concl(ctx, subject)
+        res = evaluate_predicate(subject, concl) if isinstance(concl, str) else concl(subject)
     except SizeCap:
         return 0, None
     except (CharacterizationMismatch, CrossCheckMismatch) as exc:
@@ -202,30 +188,29 @@ def _tally(case: Case, outcomes: Iterable, observation=None) -> CaseResult:
     return CaseResult(case.id, case.statement, case.kind, "PASS", checked, None, observation)
 
 
-def _run_case(ctx: SuiteContext, case: Case, ring_outcomes: dict) -> CaseResult:
+def _run_case(members: list[CorpusMember], case: Case, ring_outcomes: dict) -> CaseResult:
     """Walk the corpus in order; a ring-level case repeats the outcome of each
     member's table, evaluated once by _warm."""
     if case.run is not None:
-        return case.run(ctx, case)
+        return case.run(members, case)
     if not case.scope:
-        return _tally(case, ((m, *ring_outcomes[case.id, m.ring.digest]) for m in ctx.members))
-    return _tally(case, ((m, *_evaluate(ctx, case, m)) for m in ctx.members
-                         if m.kind in case.scope))
+        return _tally(case, ((m, *ring_outcomes[case.id, m.ring.digest]) for m in members))
+    return _tally(case, ((m, *_evaluate(case, m)) for m in members if m.kind in case.scope))
 
 
-def _radicals_agree(ctx, R) -> bool:
+def _radicals_agree(R) -> bool:
     # a disagreement raises CrossCheckMismatch, which _evaluate reports
     assert_radical_agreement(R)
     return True
 
 
-def _sharp_is_delta(ctx, R) -> bool:
-    return delta_sharp_mask(R) == ctx.delta(R)
+def _sharp_is_delta(R) -> bool:
+    return delta_sharp_mask(R) == zhou_radical_mask(R)
 
 
-def _ideal_products(ctx, R):
+def _ideal_products(R):
     """T9, one instance per two-sided ideal I."""
-    in_d = bool_from_mask(ctx.delta(R), R.order)
+    in_d = bool_from_mask(zhou_radical_mask(R), R.order)
     M = R.np_mul
     MT = np.ascontiguousarray(M.T)      # row a of MT is the column R a
     checked = 0
@@ -243,14 +228,14 @@ def _ideal_products(ctx, R):
     return checked, None
 
 
-def _quasipolar_transfer(ctx, R):
+def _quasipolar_transfer(R):
     """T17: a quasipolar ring (the counted instance) is delta-reversible, and on
     every ring the spectral idempotent of a nilpotent lies in delta."""
-    checked = int(ctx.pred(R, "delta-quasipolar"))
-    res = ctx.pred_result(R, _DR)
+    checked = int(evaluate_predicate(R, "delta-quasipolar").verdict)
+    res = evaluate_predicate(R, _DR)
     if checked and not res.verdict:
         return 1, Failure("delta-quasipolar but not delta-reversible", res.witness)
-    in_d = bool_from_mask(ctx.delta(R), R.order)
+    in_d = bool_from_mask(zhou_radical_mask(R), R.order)
     idem = array_from_mask(idempotents_mask(R), R.order)
     idem = idem[~in_d[idem]]
     for a in mask_iter(nilpotents_mask(R)):
@@ -262,9 +247,9 @@ def _quasipolar_transfer(ctx, R):
     return checked, None
 
 
-def _in_shape(ctx, m):
-    want, relation = _shape_mask(m, ctx)
-    got = ctx.delta(m.ring)
+def _in_shape(m):
+    want, relation = _shape_mask(m)
+    got = zhou_radical_mask(m.ring)
     if got == want if relation == "eq" else (got | want) == want:
         return True
     sym = "=" if relation == "eq" else "subset of"
@@ -274,47 +259,49 @@ def _in_shape(ctx, m):
                    sorted(mask_iter(diff))[:4])
 
 
-def _base_transfer(ctx, m):
-    want, got = all(ctx.pred(B, _DR) for B in m.bases), ctx.pred(m.ring, _DR)
+def _base_transfer(m):
+    want = all(evaluate_predicate(B, _DR).verdict for B in m.bases)
+    got = evaluate_predicate(m.ring, _DR).verdict
     return want == got or Failure(f"base delta-reversible={want} but extension={got}")
 
 
-def _transfer_and_shape(ctx, m):
-    res = _base_transfer(ctx, m)
-    return _in_shape(ctx, m) if res is True else res
+def _transfer_and_shape(m):
+    res = _base_transfer(m)
+    return _in_shape(m) if res is True else res
 
 
-def _is_k0(ctx, m) -> bool:
+def _is_k0(m) -> bool:
     return m.params["s"] == m.bases[0].zero
 
 
-def _block_transfer(ctx, m):
-    want, _ = _shape_mask(m, ctx)
-    if (ctx.delta(m.ring) | want) != want:
+def _block_transfer(m):
+    want, _ = _shape_mask(m)
+    if (zhou_radical_mask(m.ring) | want) != want:
         return Failure("delta escapes the block containment shape")
-    return (not ctx.pred(m.ring, _DR) or all(ctx.pred(B, _DR) for B in m.bases)
+    return (not evaluate_predicate(m.ring, _DR).verdict
+            or all(evaluate_predicate(B, _DR).verdict for B in m.bases)
             or Failure("ring delta-reversible but a component is not"))
 
 
-def _product_pairs(ctx: SuiteContext, case: Case) -> CaseResult:
+def _product_pairs(members: list[CorpusMember], case: Case) -> CaseResult:
     """T10 over the products of two small corpus rings, built here."""
-    small = [m.ring for m in ctx.members if m.kind in ("zn", "enumerated") and m.ring.order <= 8]
+    small = [m.ring for m in members if m.kind in ("zn", "enumerated") and m.ring.order <= 8]
     products = (_member(direct_product([A, B])) for i, A in enumerate(small)
                 for B in small[i:] if A.order * B.order <= 64)
-    return _tally(case, ((P, *_evaluate(ctx, case, P)) for P in products))
+    return _tally(case, ((P, *_evaluate(case, P)) for P in products))
 
 
-def _corner_groups(ctx: SuiteContext, case: Case) -> CaseResult:
+def _corner_groups(members: list[CorpusMember], case: Case) -> CaseResult:
     """T11 once per member ring whose corners are members too."""
     groups: dict[str, list[CorpusMember]] = {}
-    for m in ctx.members:
+    for m in members:
         if m.kind == "corner":
             groups.setdefault(m.bases[0].name, []).append(m)
-    parents = {m.name: m for m in ctx.members if m.name in groups}
+    parents = {m.name: m for m in members if m.name in groups}
 
     def outcome(parent, corners):
-        want = ctx.pred(parent.ring, _DR)
-        got = [ctx.pred(c.ring, _DR) for c in corners]
+        want = evaluate_predicate(parent.ring, _DR).verdict
+        got = [evaluate_predicate(c.ring, _DR).verdict for c in corners]
         if want and not all(got):
             return corners[got.index(False)], 1, Failure("parent delta-reversible, corner not")
         if not want and all(got):
@@ -325,13 +312,13 @@ def _corner_groups(ctx: SuiteContext, case: Case) -> CaseResult:
     return _tally(case, (outcome(parents[p], cs) for p, cs in groups.items() if p in parents))
 
 
-def _triangular_transfer(ctx: SuiteContext, case: Case) -> CaseResult:
+def _triangular_transfer(members: list[CorpusMember], case: Case) -> CaseResult:
     """T19 over the triangular members plus T3(Z2); the converse is an observation."""
-    tri = [m for m in ctx.members if m.kind == "triangular"]
+    tri = [m for m in members if m.kind == "triangular"]
     tri.append(_member(upper_triangular_ring(3, make_zn(2))))
-    outcomes = [(m, *_evaluate(ctx, case, m)) for m in tri]
-    converse = next((m for m in tri
-                     if ctx.pred(m.bases[0], _DR) and not ctx.pred(m.ring, _DR)), None)
+    outcomes = [(m, *_evaluate(case, m)) for m in tri]
+    converse = next((m for m in tri if evaluate_predicate(m.bases[0], _DR).verdict
+                     and not evaluate_predicate(m.ring, _DR).verdict), None)
     observation = {"claim": "converse: R delta-reversible implies the triangular ring is",
                    "verdict": "PASS" if converse is None else "FAIL"}
     if converse is not None:
@@ -340,11 +327,11 @@ def _triangular_transfer(ctx: SuiteContext, case: Case) -> CaseResult:
     return _tally(case, outcomes, observation)
 
 
-def _exhibit_matrix_failure(ctx: SuiteContext, case: Case) -> CaseResult:
+def _exhibit_matrix_failure(members: list[CorpusMember], case: Case) -> CaseResult:
     """T20 is an existence claim: PASS when some matrix member separates."""
-    candidates = [m for m in ctx.members if m.kind == "matrix"]
-    exhibits = [m.name for m in candidates
-                if ctx.pred(m.bases[0], _DR) and not ctx.pred(m.ring, _DR)]
+    candidates = [m for m in members if m.kind == "matrix"]
+    exhibits = [m.name for m in candidates if evaluate_predicate(m.bases[0], _DR).verdict
+                and not evaluate_predicate(m.ring, _DR).verdict]
     if exhibits or not candidates:
         note = {} if exhibits else {"note": "no matrix members in corpus"}
         return _tally(case, [(None, len(exhibits), None)], {"exhibits": exhibits, **note})
@@ -357,24 +344,26 @@ CASES: tuple[Case, ...] = (
          "socle-quotient pullback, the summand-forcing set, the complement-in-socle set, and "
          "(on small rings) the largest delta-small right ideal and the "
          "annihilator-of-singular-simple intersection.", _radicals_agree),
-    Case("T2", "delta(R) is a semiprime ideal.", lambda ctx, R: is_semiprime_ideal(
-        R, ctx.delta(R)), detail="aRa inside delta but a outside delta"),
+    Case("T2", "delta(R) is a semiprime ideal.", lambda R: is_semiprime_ideal(
+        R, zhou_radical_mask(R)), detail="aRa inside delta but a outside delta"),
     Case("T3", "Every J-reversible ring is delta-reversible.", _DR, "j-reversible"),
     Case("T4", "If the socle lies in J(R), delta-reversible iff J-reversible.",
-         lambda ctx, R: ctx.pred(R, _DR) == ctx.pred(R, "j-reversible"),
-         lambda ctx, R: socle_mask(R) & ~jacobson_radical_mask(R) == 0),
+         lambda R: (evaluate_predicate(R, _DR).verdict
+                    == evaluate_predicate(R, "j-reversible").verdict),
+         lambda R: socle_mask(R) & ~jacobson_radical_mask(R) == 0),
     Case("T5", "If R/socle(R) is J-reversible then R is delta-reversible.", _DR,
-         lambda ctx, R: ctx.pred(quotient_ring(R, socle(R)).ring, "j-reversible"),
+         lambda R: evaluate_predicate(quotient_ring(R, socle(R)).ring, "j-reversible").verdict,
          detail="quotient J-reversible but R not delta-reversible"),
     Case("T6", "Delta-reversible with idempotents lifting modulo delta(R) forces R/delta(R) "
          "abelian.", "quotient-abelian",
-         lambda ctx, R: ctx.pred(R, _DR) and ctx.pred(R, "idempotents-lift-mod-delta")),
+         lambda R: (evaluate_predicate(R, _DR).verdict
+                    and evaluate_predicate(R, "idempotents-lift-mod-delta").verdict)),
     Case("T7", "Delta-reversible forces eR(1-e) + (1-e)Re inside delta(R) for every "
          "idempotent e.", "corner-containment", _DR),
     Case("T8", "The three delta-reversibility routes (definition, square-zero, annihilator) "
          "agree on every corpus ring.",
          # the predicate raises CharacterizationMismatch when its routes disagree
-         lambda ctx, R: ctx.pred(R, _DR) in (True, False)),
+         lambda R: evaluate_predicate(R, _DR).verdict in (True, False)),
     Case("T9", "If R is delta-reversible then within every two-sided ideal I, ab = 0 with "
          "a, b in I forces ba into I intersect delta(R).", _ideal_products, _DR),
     Case("T10", "A finite direct product is delta-reversible iff every factor is, and delta "
@@ -387,7 +376,7 @@ CASES: tuple[Case, ...] = (
     Case("T14", "If R/delta(R) is reduced then R is delta-reversible.", _DR, "quotient-reduced"),
     Case("T15", "Every delta-reversible ring is delta-linear Armendariz.",
          "delta-linear-armendariz",
-         lambda ctx, R: R.order <= ctx.armendariz_cap and ctx.pred(R, _DR)),
+         lambda R: R.order <= ARMENDARIZ_CAP and evaluate_predicate(R, _DR).verdict),
     Case("T16", "Every delta-clean ring is delta-reversible.", _DR, "delta-clean"),
     Case("T17", "Every delta-quasipolar ring (as-used definition) is delta-reversible; for "
          "nilpotent a the associated idempotent lies in delta(R).", _quasipolar_transfer),
@@ -397,7 +386,8 @@ CASES: tuple[Case, ...] = (
          scope=("trivial_morita", "formal_triangular")),
     Case("T19", "If the upper triangular matrix ring over R is delta-reversible then so is R; "
          "the converse is tested empirically and reported.",
-         lambda ctx, m: not ctx.pred(m.ring, _DR) or ctx.pred(m.bases[0], _DR),
+         lambda m: (not evaluate_predicate(m.ring, _DR).verdict
+                    or evaluate_predicate(m.bases[0], _DR).verdict),
          detail="triangular ring delta-reversible but base is not", run=_triangular_transfer),
     Case("T20", "Full matrix rings need not inherit delta-reversibility: some corpus matrix "
          "ring has a delta-reversible base but is not delta-reversible.",
@@ -428,27 +418,25 @@ CASES: tuple[Case, ...] = (
 
 
 def run_theorem_suite(members: list[CorpusMember],
-                      corpus_spec: str = "default",
-                      armendariz_cap: int = ARMENDARIZ_CAP) -> "SuiteReport":
+                      corpus_spec: str = "default") -> "SuiteReport":
     """Run every case of CASES over the members, in one thread: the work is
     pure Python and numpy under the interpreter lock, so a pool of threads
     only adds overhead."""
-    ctx = SuiteContext(members, armendariz_cap)
-    ring_outcomes = _warm(ctx)
-    cases = [_run_case(ctx, case, ring_outcomes) for case in CASES]
+    ring_outcomes = _warm(members)
+    cases = [_run_case(members, case, ring_outcomes) for case in CASES]
     return SuiteReport(corpus_spec, members, cases,
                        {"lattice_cap": LATTICE_CAP, "quantifier_cap": QUANTIFIER_CAP,
-                        "armendariz_cap": armendariz_cap})
+                        "armendariz_cap": ARMENDARIZ_CAP})
 
 
-def _warm(ctx: SuiteContext) -> dict:
+def _warm(members: list[CorpusMember]) -> dict:
     """Evaluate every ring-level case once per distinct table; returns the
     outcomes keyed by (case id, digest)."""
     rings: dict[str, FiniteRing] = {}
-    for m in ctx.members:
+    for m in members:
         rings.setdefault(m.ring.digest, m.ring)
     ring_cases = [c for c in CASES if not c.scope and c.run is None]
-    return {(c.id, R.digest): _evaluate(ctx, c, R) for R in rings.values() for c in ring_cases}
+    return {(c.id, R.digest): _evaluate(c, R) for R in rings.values() for c in ring_cases}
 
 
 @dataclass
@@ -512,15 +500,13 @@ class HuntFinding:
         return d
 
 
-def hunt_counterexample(query: HuntQuery, members: list[CorpusMember],
-                        armendariz_cap: int = ARMENDARIZ_CAP) -> list[HuntFinding]:
+def hunt_counterexample(query: HuntQuery, members: list[CorpusMember]) -> list[HuntFinding]:
     """Corpus rings satisfying the antecedent but not the consequent, in corpus order."""
-    ctx = SuiteContext(members, armendariz_cap)
     claim = Case("hunt", "", query.consequent, query.antecedent,
                  detail=f"{query.antecedent} holds but {query.consequent} fails")
     findings: list[HuntFinding] = []
     for m in members:
-        _, failure = _evaluate(ctx, claim, m.ring)
+        _, failure = _evaluate(claim, m.ring)
         if failure is not None:
             findings.append(HuntFinding(m.name, failure.witness, failure.detail))
             if query.stop_at_first:

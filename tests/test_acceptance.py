@@ -21,7 +21,7 @@ from ringlab.ideals import (
     assert_radical_agreement, jacobson_radical_mask, zhou_radical_mask)
 from ringlab.predicates import evaluate_predicate
 from ringlab.suite import (
-    HuntQuery, SuiteContext, _shape_mask, hunt_counterexample, run_theorem_suite)
+    HuntQuery, _shape_mask, hunt_counterexample, run_theorem_suite)
 
 
 def _report(cid: str, ok: bool, detail: str = "") -> bool:
@@ -100,12 +100,11 @@ def test_criterion_3_corner_formula(default_corpus):
     e = E11 the corner is a two-element field with delta(eRe) = eRe, while
     e delta(R) e = {0}.  The assertion is kept faithful and fails."""
     spec, members = default_corpus
-    ctx = SuiteContext(members)
     failures = []
     for m in members:
         if m.kind != "corner":
             continue
-        want, _ = _shape_mask(m, ctx)   # e delta(R) e mapped into the corner
+        want, _ = _shape_mask(m)   # e delta(R) e mapped into the corner
         got = zhou_radical_mask(m.ring)
         if got != want:
             failures.append((m.name,
@@ -133,11 +132,10 @@ def test_criterion_3_matrix_formula(zn):
 
 def test_criterion_3_h_shape(default_corpus):
     spec, members = default_corpus
-    ctx = SuiteContext(members)
     ok = True
     for m in members:
         if m.kind == "hst" and m.bases[0].order == 4:
-            want, _ = _shape_mask(m, ctx)
+            want, _ = _shape_mask(m)
             ok &= zhou_radical_mask(m.ring) == want
     assert _report("C3-h-shape", ok)
 
@@ -149,12 +147,11 @@ def test_criterion_3_l_shape(default_corpus):
     shape all 243 elements, but delta(L(s,t)(Z3)) is the 81-element d = 0
     slice (the only essential maximal right ideal).  Kept faithful; fails."""
     spec, members = default_corpus
-    ctx = SuiteContext(members)
     checked, ok, detail = 0, True, ""
     for m in members:
         if m.kind == "lst" and m.bases[0].order == 3:
             checked += 1
-            want, _ = _shape_mask(m, ctx)
+            want, _ = _shape_mask(m)
             got = zhou_radical_mask(m.ring)
             if got != want:
                 ok = False

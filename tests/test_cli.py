@@ -176,6 +176,13 @@ def test_check_unknown_predicate_exit_2(capsys):
     assert code == 2
 
 
+def test_check_above_the_armendariz_cap_exit_2(capsys):
+    code, out, err = run_cli("check", "M(2,Zn(4))", "--props", "delta-linear-armendariz",
+                             capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == "error: M2(Z4): order 256 exceeds Armendariz cap 128\n"
+
+
 def test_hunt_small_corpus(capsys):
     code, out, _ = run_cli("hunt", "--implies", "delta-reversible => j-reversible",
                            "--corpus", "Zn(6); M(2,Zn(3))", capsys=capsys)
@@ -286,9 +293,9 @@ def test_env_var_corpus(monkeypatch):
 OPTIONS = {
     "construct": ["--out"],
     "radical": ["--out", "--format", "--which", "--all-characterizations"],
-    "check": ["--out", "--format", "--props", "--armendariz-cap"],
-    "suite": ["--out", "--format", "-v", "--corpus", "--jobs", "--armendariz-cap"],
-    "hunt": ["--implies", "--corpus", "--all", "--out", "--armendariz-cap"],
+    "check": ["--out", "--format", "--props"],
+    "suite": ["--out", "--format", "-v", "--corpus", "--jobs"],
+    "hunt": ["--implies", "--corpus", "--all", "--out"],
     "enumerate": ["--order", "--up-to-iso", "--out"],
 }
 
@@ -353,6 +360,9 @@ def test_every_declared_option_is_read(tmp_path, capsys, argv):
     ["check", "Zn(4)", "--size-cap", "100"],
     ["suite", "--corpus", "Zn(4)", "--size-cap", "100"],
     ["hunt", "--implies", "reversible => abelian", "--corpus", "Zn(4)", "--size-cap", "100"],
+    ["check", "Zn(4)", "--props", "reversible", "--armendariz-cap", "1"],
+    ["suite", "--corpus", "Zn(4)", "--armendariz-cap", "1"],
+    ["hunt", "--implies", "reversible => abelian", "--corpus", "Zn(4)", "--armendariz-cap", "1"],
 ])
 def test_a_removed_option_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -13,9 +13,10 @@ from ringlab.core import (
 from ringlab.constructions import (
     BimoduleSpec, abelian_group_factorizations, construct, corner_ring, decode_digits,
     direct_product, encode_digits, enumerate_unital_rings, formal_triangular, hst_ring,
-    ks_ring, lst_ring, make_zn, matrix_ring, mixed_radix_strides, parse_ring_expr,
-    quotient_ring, ring_fingerprint, ring_isomorphic, self_bimodule, trivial_morita,
-    two_sided_ideal_generated, upper_triangular_ring)
+    is_two_sided_mask, ks_ring, lst_ring, make_zn, matrix_ring, mixed_radix_strides,
+    parse_ring_expr, quotient_ring, ring_fingerprint, ring_isomorphic, self_bimodule,
+    trivial_morita, two_sided_ideal_generated, upper_triangular_ring)
+from ringlab.ideals import is_semiprime_ideal
 
 
 def same_tables(R, S):
@@ -222,20 +223,17 @@ def test_quotient_requires_two_sided(t2z2):
         quotient_ring(t2z2, m)
 
 
-def test_quotient_rejects_mask_bits_past_the_order(zn):
+@pytest.mark.parametrize("read", [is_two_sided_mask, is_semiprime_ideal, quotient_ring],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("m", [0b1000001, (1 << 8) | 1, -1])
+def test_mask_readers_reject_masks_outside_the_ring(zn, read, m):
     # bit 6 of Z5's mask is past element 4 but inside the mask's byte, so an
-    # unchecked read would drop it and quotient by {0}
+    # unchecked read would drop it and read {0}; bit 8 does not fit the one
+    # byte, nor does a negative mask fit any, so they would raise a bare
+    # OverflowError
     with pytest.raises(DimensionMismatch,
-                       match=r"^ideal mask 0x41 is not a subset of Z5 \(0\.\.4\)$"):
-        quotient_ring(zn[5], 0b1000001)
-
-
-def test_quotient_rejects_mask_bits_past_the_byte(zn):
-    # bit 8 does not fit the mask's one byte, nor does a negative mask fit any,
-    # so an unchecked read would raise a bare OverflowError
-    for m in ((1 << 8) | 1, -1):
-        with pytest.raises(DimensionMismatch, match="is not a subset of"):
-            quotient_ring(zn[5], m)
+                       match=rf"^ideal mask {m:#x} is not a subset of Z5 \(0\.\.4\)$"):
+        read(zn[5], m)
 
 
 def test_hst_order_and_identity(zn):

@@ -18,12 +18,11 @@ left as a numpy scalar in a shift would give a wrong mask or raise.
 import functools
 import json
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ringlab import core, predicates
+from ringlab import core, predicates, suite
 from ringlab.constructions import (
     corner_ring, enumerate_unital_rings, is_two_sided_mask, quotient_ring,
     two_sided_ideal_generated)
@@ -489,13 +488,13 @@ def test_armendariz_blocks_match_pair_loop(rings, monkeypatch, block):
     assert seen == {True, False}
 
 
-def test_ideal_products_match_column_loop(rings):
+def test_ideal_products_match_column_loop(rings, monkeypatch):
     rng = random.Random(23)
     seen = set()
     for R in rings:
         for d in radical_stand_ins(R, rng):
-            ctx = SimpleNamespace(delta=lambda _, d=d: d)
-            got = _ideal_products(ctx, R)
+            monkeypatch.setattr(suite, "zhou_radical_mask", lambda *_, d=d: d)
+            got = _ideal_products(R)
             assert got == ideal_products_oracle(R, d), (R.name, d)
             seen.add(got[1] is None)
     assert seen == {True, False}

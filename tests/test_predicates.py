@@ -1,5 +1,6 @@
 import pytest
 
+from ringlab import predicates
 from ringlab.core import SizeCap
 from ringlab.constructions import encode_digits
 from ringlab.ideals import zhou_radical_mask
@@ -124,12 +125,14 @@ def test_armendariz(zn, m2z3):
     assert is_delta_linear_armendariz(zn[4]).verdict
 
 
-def test_armendariz_cap(m2z4):
-    with pytest.raises(SizeCap):
-        is_delta_linear_armendariz(m2z4, armendariz_cap=128)
-    # above the cap the scan runs; M2(Z4) is not delta-reversible and indeed
-    # fails, with a witness quadruple that re-verifies
-    res = is_delta_linear_armendariz(m2z4, armendariz_cap=256)
+def test_armendariz_cap(m2z4, monkeypatch):
+    with pytest.raises(SizeCap, match=r"^M2\(Z4\): order 256 exceeds Armendariz cap 128$"):
+        is_delta_linear_armendariz(m2z4)
+    # the scan reads the cap when it runs: raised to 256 it scans M2(Z4), which
+    # is not delta-reversible and indeed fails, with a witness quadruple that
+    # re-verifies
+    monkeypatch.setattr(predicates, "ARMENDARIZ_CAP", 256)
+    res = is_delta_linear_armendariz(m2z4)
     assert not res.verdict
     a0, a1, b0, b1 = res.witness
     z, add, mul = m2z4.zero, m2z4.np_add.tolist(), m2z4.np_mul.tolist()

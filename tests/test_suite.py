@@ -12,7 +12,7 @@ from ringlab.core import (
 from ringlab.ideals import zhou_radical_mask
 from ringlab.predicates import evaluate_predicate
 from ringlab.suite import (
-    CorpusMember, HuntQuery, SuiteContext, _shape_mask, build_corpus, default_corpus,
+    CorpusMember, HuntQuery, _shape_mask, build_corpus, default_corpus,
     hunt_counterexample, run_theorem_suite)
 
 
@@ -186,14 +186,13 @@ def test_suite_deterministic_across_jobs(default_corpus):
 def test_every_fail_reverifies_standalone(suite_report, default_corpus):
     spec, members = default_corpus
     by_name = {m.name: m for m in members}
-    ctx = SuiteContext(members)
     for c in suite_report.cases:
         if c.verdict != "FAIL" or c.counterexample is None:
             continue
         m = by_name.get(c.counterexample["ring"])
         if m is None:
             continue
-        shape = _shape_mask(m, ctx)
+        shape = _shape_mask(m)
         if shape is None:
             continue
         want, relation = shape
@@ -215,20 +214,20 @@ def _hst_shape_oracle(H) -> int:
 
 def test_hst_shape_data_matches_the_former_formula():
     # every H_(s,t)(B) of order <= 512 over these bases
-    ctx, checked = SuiteContext([]), 0
+    checked = 0
     for B in [make_zn(k) for k in range(2, 9)] + [upper_triangular_ring(2, make_zn(2))]:
         central_units = [u for u in mask_elems(units_mask(B)) if is_central(B, u)]
         for s in central_units:
             for t in central_units:
                 H = hst_ring(B, s, t)
                 member = CorpusMember(H.name, H, "hst", (B,))
-                assert _shape_mask(member, ctx) == (_hst_shape_oracle(H), "eq")
+                assert _shape_mask(member) == (_hst_shape_oracle(H), "eq")
                 checked += 1
     assert checked == 82
 
 
-def _shape_holds(member, members) -> bool:
-    want, relation = _shape_mask(member, SuiteContext(members))
+def _shape_holds(member) -> bool:
+    want, relation = _shape_mask(member)
     got = zhou_radical_mask(member.ring)
     return got == want if relation == "eq" else (got | want) == want
 
@@ -252,7 +251,7 @@ def test_expression_corpus_gets_family_shape_check(expr, case_id, default_corpus
     m = members[0]
     twin = next(d for d in default_corpus[1]
                 if d.ring.digest == m.ring.digest and d.kind == m.kind)
-    assert case.verdict == ("PASS" if _shape_holds(twin, default_corpus[1]) else "FAIL")
+    assert case.verdict == ("PASS" if _shape_holds(twin) else "FAIL")
 
 
 def test_characterization_mismatch_is_a_t8_fail(monkeypatch):

@@ -4,11 +4,12 @@ Composite elements are encoded mixed-radix over component indices, most
 significant digit first, so encodings are stable across runs and documented
 by the labels.  Every extension ring is built by one slot builder,
 `_slot_ring`, from vectorized gathers; every constructor ends in exact axiom
-validation.  A matrix-shaped extension (M_n, T_n, L_(s,t), K_s, formal
-triangular rings, Morita contexts) is data: a set of matrix positions, one
-slot each, and a table of routes (i, t, j) multiplying entry (i, t) by entry
-(t, j), all multiplied by `_route_rule`; H_(s,t) applies L_(s,t)'s rule and
-checks that the products stay in the family.
+validation.  Each extension's product is data, one term table keyed by
+(left slot, right slot, target slot): a direct product is the terms
+(k, k, k); a matrix ring over a position set (M_n, T_n, L_(s,t), K_s) has
+one slot per position and the terms of `_closed_terms`, K_s with its two
+cross terms scaled by s; formal triangular rings and Morita contexts list
+their ring and action terms; H_(s,t) has seven terms on its slots (c, d, e).
 
 Extensions record their base rings in `meta["bases"]`.  Those whose radical
 has a claimed digit-wise shape also record `dims`, `delta_digits` (digit s
@@ -28,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import (
-    AxiomViolation, BimoduleAxiomViolation, ClosureViolation, DimensionMismatch,
+    AxiomViolation, BimoduleAxiomViolation, DimensionMismatch,
     FiniteRing, NotCentral, NotCentralUnit, NotIdempotent, NotTwoSidedIdeal,
     ParseError, SizeCap, _cached, _check_table, _is_int, additive_span, bool_from_mask,
     check_mask, check_ring_axioms, check_size, coset_labels, element_indices, ideal_failure,
@@ -100,50 +101,42 @@ def _encode_slots(slot_tables: Iterable[np.ndarray], dims: Sequence[int]) -> np.
     return acc
 
 
-def _route_rule(positions, routes, adds):
-    """`mul_slots` for matrices supported on `positions`, one slot per
-    position, row-major.
-
-    Entry (i, j) of a product is the sum, in slot (i, j)'s additive table
-    `adds[k]` and in ascending t, of routes[i, t, j][x_it, y_tj].  A route
-    missing from `routes` is a zero product; every position has a route.
-    """
+def _closed_terms(positions, table) -> dict:
+    """The terms of square matrices supported on `positions`, one slot per
+    position: entry (i, t) times entry (t, j) into entry (i, j), through
+    `table`, for every such triple inside `positions`.  Each target's terms
+    come in ascending t."""
     slot = {p: k for k, p in enumerate(positions)}
-    terms = [[(routes[r], slot[r[:2]], slot[r[1:]]) for r in sorted(routes) if r[::2] == p]
-             for p in positions]
-
-    def mul_slots(*digs):
-        for A, entry in zip(adds, terms):
-            acc = None
-            for table, u, v in entry:
-                term = _pair(table, digs[u], digs[v])
-                acc = term if acc is None else A[acc, term]
-            yield acc
-    return mul_slots
+    return {(slot[i, t], slot[t, j], slot[i, j]): table
+            for i, t in positions for u, j in positions if u == t and (i, j) in slot}
 
 
-def _closed_routes(positions, table) -> dict:
-    """Every route (i, t, j) with (i, t), (t, j) and (i, j) in `positions`,
-    each through `table`."""
-    inside = set(positions)
-    return {(i, t, j): table for i, t in positions for u, j in positions
-            if u == t and (i, j) in inside}
-
-
-def _slot_ring(name, slots, mul_slots, one, label, meta) -> FiniteRing:
+def _slot_ring(name, slots, terms, one, label, meta) -> FiniteRing:
     """The ring on mixed-radix tuples of slots, most significant first.
 
     `slots` holds one (additive table, zero) pair per slot, and addition is
-    slot-wise.  `mul_slots(*digits)`, given the digit vector of every slot
-    over all elements, returns (or yields) the product's slot tables.  `one`
-    is the identity's digit tuple and `label(*digits)` names one element.
-    `check_size` runs before any table is allocated; `dims` joins meta.
+    slot-wise.  `terms` maps (u, v, w) to a table: slot w of a product xy
+    is the sum, in slot w's additive table and in the order of `terms`, of
+    table[x_u, y_v] over the terms that target w; every slot is some term's
+    target.  `one` is the identity's digit tuple and `label(*digits)` names
+    one element.  `check_size` runs before any table is allocated; `dims`
+    joins meta.
     """
     dims = [len(A) for A, _ in slots]
     check_size(name, math.prod(dims))
     digs = _digit_grids(dims)
+
+    def products():
+        for w, (A, _) in enumerate(slots):
+            acc = None
+            for (u, v, target), table in terms.items():
+                if target == w:
+                    term = _pair(table, digs[u], digs[v])
+                    acc = term if acc is None else A[acc, term]
+            yield acc
+
     add = _encode_slots((_pair(A, d, d) for (A, _), d in zip(slots, digs)), dims)
-    mul = _encode_slots(mul_slots(*digs), dims)
+    mul = _encode_slots(products(), dims)
     labels = (label(*d) for d in itertools.product(*map(range, dims)))
     return _validated(name, encode_digits([z for _, z in slots], dims), encode_digits(one, dims),
                       add, mul, labels, {**meta, "dims": dims})
@@ -170,7 +163,7 @@ def direct_product(parts: Sequence[FiniteRing]) -> FiniteRing:
         return parts[0]
     return _slot_ring(
         "x".join(R.name for R in parts), [(R.np_add, R.zero) for R in parts],
-        lambda *digs: (_pair(R.np_mul, d, d) for R, d in zip(parts, digs)),
+        {(k, k, k): R.np_mul for k, R in enumerate(parts)},
         [R.one for R in parts],
         lambda *ds: "(" + ",".join(R.label(d) for R, d in zip(parts, ds)) + ")",
         {"kind": "product", "bases": tuple(parts),
@@ -188,14 +181,13 @@ def _matrix_label(R: FiniteRing, positions):
     return lambda *entries: template.format(*map(R.label, entries))
 
 
-def _matrix_family(name, R, positions, meta, routes=None, label=None):
+def _matrix_family(name, R, positions, meta, terms=None, label=None):
     """The ring of square matrices over R supported on `positions` (row-major),
-    multiplied by `_route_rule`: by default every route goes through R's
-    product.  The identity is R's one down the diagonal."""
-    k = len(positions)
+    by default with every term through R's product (`_closed_terms`).  The
+    identity is R's one down the diagonal."""
     return _slot_ring(
-        name, [(R.np_add, R.zero)] * k,
-        _route_rule(positions, routes or _closed_routes(positions, R.np_mul), [R.np_add] * k),
+        name, [(R.np_add, R.zero)] * len(positions),
+        terms or _closed_terms(positions, R.np_mul),
         [R.one if i == j else R.zero for i, j in positions],
         label or _matrix_label(R, positions), meta)
 
@@ -314,22 +306,15 @@ def hst_ring(R: FiniteRing, s: int, t: int) -> FiniteRing:
     """Subring of M3(R) on matrices [[a,0,0],[c,d,e],[0,0,f]] with a-d = sc, d-f = te.
 
     The free parameters are (c, d, e); a and f are determined, so the ring has
-    order |R|^3.  Products are L_(s,t)'s route rule on (d+sc, c, d, e, d-te),
-    and the membership constraints are re-verified on the whole table.
+    order |R|^3.  Substituting a = d + sc and f = d - te into L_(s,t)'s
+    product gives, for central s and t, c'' = cd' + s(cc') + dc', d'' = dd'
+    and e'' = de' + ed' - t(ee').
     """
     _require_central_unit(R, s, "s")
     _require_central_unit(R, t, "t")
     A, M, NEG = R.np_add, R.np_mul, R.neg
-    rule = _route_rule(_L_POSITIONS, _closed_routes(_L_POSITIONS, M), [A] * 5)
-
-    def h_mul(c, d, e):
-        a3, c3, d3, e3, f3 = rule(A[d, M[s][c]], c, d, e, A[d, NEG[M[t][e]]])
-        # closure guard: products must satisfy the defining linear constraints
-        if (not np.array_equal(a3, A[d3, M[s][c3]])
-                or not np.array_equal(f3, A[d3, NEG[M[t][e3]]])):
-            raise ClosureViolation(f"H(s,t) product left the family for {R.name}")
-        return [c3, d3, e3]
-
+    terms = {(0, 1, 0): M, (0, 0, 0): M[s][M], (1, 0, 0): M, (1, 1, 1): M,
+             (1, 2, 2): M, (2, 1, 2): M, (2, 2, 2): M[NEG[t]][M]}
     add, mul_s, mul_t, neg = A.tolist(), M[s].tolist(), M[t].tolist(), NEG.tolist()
     matrix = _matrix_label(R, _L_POSITIONS)
 
@@ -337,7 +322,7 @@ def hst_ring(R: FiniteRing, s: int, t: int) -> FiniteRing:
         return matrix(add[d][mul_s[c]], c, d, e, add[d][neg[mul_t[e]]])
 
     # d in delta: a = d + sc in delta iff c is, f = d - te iff e is (s, t units; delta an ideal)
-    return _slot_ring(f"H({s},{t})({R.name})", [(A, R.zero)] * 3, h_mul,
+    return _slot_ring(f"H({s},{t})({R.name})", [(A, R.zero)] * 3, terms,
                       [R.zero, R.one, R.zero], h_label,
                       {"kind": "hst", "s": s, "t": t, "bases": (R,),
                        "delta_digits": (0, 0, 0), "delta_relation": "eq"})
@@ -367,14 +352,14 @@ def ks_ring(R: FiniteRing, s: int) -> FiniteRing:
     if not is_central(R, s):
         raise NotCentral(f"s={s} is not central in {R.name}")
     positions = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    # the diagonal's off-diagonal routes: x y and y x scaled by s
-    routes = _closed_routes(positions, R.np_mul) | dict.fromkeys([(0, 1, 0), (1, 0, 1)],
-                                                                 R.np_mul[s][R.np_mul])
+    # [[a,x],[y,b]]: x y' into a and y x' into b, scaled by s
+    terms = _closed_terms(positions, R.np_mul) | dict.fromkeys([(1, 2, 0), (2, 1, 3)],
+                                                                R.np_mul[s][R.np_mul])
     meta = {"kind": "ks", "s": s, "bases": (R,)}
     if s == R.zero:
         meta.update(delta_digits=(0, None, None, 0), delta_relation="eq")
     sname = "0" if s == R.zero else str(s)
-    return _matrix_family(f"K{sname}({R.name})", R, positions, meta, routes)
+    return _matrix_family(f"K{sname}({R.name})", R, positions, meta, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +414,12 @@ def validate_bimodule(S: FiniteRing, T: FiniteRing, M: BimoduleSpec):
     return G, L, Rt
 
 
-def _bimodule_ring(name, slots, positions, routes, *args) -> FiniteRing:
-    """`_slot_ring` multiplying by `_route_rule`, for a ring assembled from
-    bimodules that passed `validate_bimodule`: the component rings are valid,
-    so an axiom the assembled ring fails is a bimodule law that fails."""
+def _bimodule_ring(name, *args) -> FiniteRing:
+    """`_slot_ring` for a ring assembled from bimodules that passed
+    `validate_bimodule`: the component rings are valid, so an axiom the
+    assembled ring fails is a bimodule law that fails."""
     try:
-        return _slot_ring(name, slots, _route_rule(positions, routes, [G for G, _ in slots]),
-                          *args)
+        return _slot_ring(name, *args)
     except AxiomViolation as exc:
         raise BimoduleAxiomViolation(f"{name}: the bimodule laws fail ({exc})") from exc
 
@@ -450,11 +434,11 @@ def formal_triangular(S: FiniteRing, T: FiniteRing,
         M = self_bimodule(S)
     G, L, Rt = validate_bimodule(S, T, M)
 
-    # [[s,m],[0,t]]: S.S, S.M (left action), M.T (right action), T.T
-    routes = {(0, 0, 0): S.np_mul, (0, 0, 1): L, (0, 1, 1): Rt, (1, 1, 1): T.np_mul}
+    # slots (s, m, t) of [[s,m],[0,t]]: S.S, S.M (left action), M.T (right action), T.T
+    terms = {(0, 0, 0): S.np_mul, (0, 1, 1): L, (1, 2, 1): Rt, (2, 2, 2): T.np_mul}
     return _bimodule_ring(f"Tri({S.name},{T.name})",
                           [(S.np_add, S.zero), (G, M.zero), (T.np_add, T.zero)],
-                          [(0, 0), (0, 1), (1, 1)], routes, [S.one, M.zero, T.one],
+                          terms, [S.one, M.zero, T.one],
                           lambda si, mi, ti: f"[[{S.label(si)},m{mi}],[0,{T.label(ti)}]]",
                           {"kind": "formal_triangular", "bases": (S, T),
                            "delta_digits": (0, None, 1), "delta_relation": "subset"})
@@ -473,12 +457,13 @@ def trivial_morita(A: FiniteRing, B: FiniteRing,
     GM, LM, RM = validate_bimodule(A, B, M)
     GN, LN, RN = validate_bimodule(B, A, N)
 
-    # [[a,m],[n,b]]: as Tri, plus N.A and B.N; no M.N or N.M route, so MN = 0 = NM
-    routes = {(0, 0, 0): A.np_mul, (0, 0, 1): LM, (0, 1, 1): RM,
-              (1, 0, 0): RN, (1, 1, 0): LN, (1, 1, 1): B.np_mul}
+    # slots (a, m, n, b) of [[a,m],[n,b]]: as Tri, plus N.A and B.N; no M.N or
+    # N.M term, so MN = 0 = NM
+    terms = {(0, 0, 0): A.np_mul, (0, 1, 1): LM, (1, 3, 1): RM,
+             (2, 0, 2): RN, (3, 2, 2): LN, (3, 3, 3): B.np_mul}
     return _bimodule_ring(f"Morita({A.name},{B.name})",
                           [(A.np_add, A.zero), (GM, M.zero), (GN, N.zero), (B.np_add, B.zero)],
-                          [(0, 0), (0, 1), (1, 0), (1, 1)], routes, [A.one, M.zero, N.zero, B.one],
+                          terms, [A.one, M.zero, N.zero, B.one],
                           lambda ai, mi, ni, bi: f"[[{A.label(ai)},m{mi}],[n{ni},{B.label(bi)}]]",
                           {"kind": "trivial_morita", "bases": (A, B),
                            "delta_digits": (0, None, None, 1), "delta_relation": "subset"})

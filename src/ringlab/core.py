@@ -72,10 +72,6 @@ class NotCentral(RinglabError):
     pass
 
 
-class ClosureViolation(RinglabError):
-    """A parametrized subring construction produced an element outside the family."""
-
-
 class BimoduleAxiomViolation(RinglabError):
     pass
 
@@ -113,6 +109,8 @@ def mask_of(elems: Iterable[int]) -> int:
 
 
 def mask_iter(mask: int) -> Iterator[int]:
+    if mask < 0:        # its low bits never run out
+        raise DimensionMismatch(f"mask {mask} is negative")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -81,7 +81,7 @@ def build_corpus(spec: str = "default") -> tuple[str, list[CorpusMember]]:
         return f"default ({CORPUS_VERSION})", default_corpus()
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
-            exprs = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+            exprs = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     else:
         exprs = [part.strip() for part in spec.split(";") if part.strip()]
     return spec, [_member(construct(text), expr=text) for text in exprs]

@@ -12,7 +12,7 @@ from ringlab.constructions import (
 from ringlab.core import (
     AxiomViolation, DimensionMismatch, FiniteRing, RinglabError, SizeCap, check_ring_axioms,
     clear_shared_cache, commutant_mask, double_commutant_mask, dumps_ring, ideal_failure,
-    idempotents_mask, loads_ring, mask_elems, mask_of, nilpotents_mask, units_mask,
+    idempotents_mask, loads_ring, mask_elems, mask_iter, mask_of, nilpotents_mask, units_mask,
     validate_ring)
 
 
@@ -171,6 +171,15 @@ def test_ideal_failure_validation(zn):
 
 def test_mask_helpers():
     assert mask_elems(mask_of([5, 1, 3])) == (1, 3, 5)
+
+
+def test_negative_masks_are_refused():
+    # a negative mask's low bits never run out, so reading one would not end;
+    # mask_iter is checked first, so a regression fails here instead of hanging
+    with pytest.raises(DimensionMismatch, match="mask -1 is negative"):
+        next(mask_iter(-1))
+    with pytest.raises(DimensionMismatch, match="mask -6 is negative"):
+        mask_elems(-6)
 
 
 def test_json_round_trip_is_byte_identical(zn):

@@ -1,24 +1,31 @@
-"""Differential test: the route rule of the matrix-shaped extensions against
-the per-family product callbacks it replaced, kept here as the oracle.
+"""Differential test: the term tables of the extension rings against the
+per-family product callbacks they replaced, kept here as the oracle together
+with the callback-taking slot builder they ran on.
 
-Every family is built both ways over every base of order <= 4 and over the
-noncommutative T(2,Zn(2)), with every valid s and t, wherever the ring has
-order <= FIT; formal triangular rings and Morita contexts also over valid,
-perturbed and random bimodules.  The one exception is L_(s,t) over a base
-of order 4 (order 1024, ~0.25 s a pair): neither version reads s or t outside
-the labels, so one pair, with s != t where there is one, stands for the rest.
+Direct products are built over every pair and triple of bases; every other
+family over every base of order <= 4 and over the noncommutative
+T(2,Zn(2)), with every valid s and t, wherever the ring has order <= FIT;
+formal triangular rings and Morita contexts also over valid, perturbed and
+random bimodules.  The one exception is L_(s,t) over a base of order 4
+(order 1024, ~0.25 s a pair): neither version reads s or t outside the
+labels, so one pair, with s != t where there is one, stands for the rest.
 Name, tables, zero, one, labels and meta must agree, and a build that raises
 must raise the same error with the same message.
 """
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from ringlab import constructions
 from ringlab.constructions import (
-    _pair, _slot_ring, construct, enumerate_unital_rings, formal_triangular, hst_ring, ks_ring,
-    lst_ring, matrix_ring, trivial_morita, upper_triangular_ring, validate_bimodule)
+    _digit_grids, _encode_slots, _pair, _validated, construct, direct_product,
+    encode_digits, enumerate_unital_rings, formal_triangular, hst_ring, ks_ring, lst_ring,
+    matrix_ring, trivial_morita, upper_triangular_ring, validate_bimodule)
 from ringlab.core import (
-    AxiomViolation, BimoduleAxiomViolation, ClosureViolation, RinglabError, is_central, units_mask)
+    AxiomViolation, BimoduleAxiomViolation, NotCentralUnit, RinglabError, check_size,
+    is_central, units_mask)
 from ringlab.suite import central_unit_pairs
 
 from test_bimodules import _Pool, _draw
@@ -27,7 +34,36 @@ FIT = 1024
 
 
 # ---------------------------------------------------------------------------
-# the oracle: each family's own product callback
+# the oracle: each family's own product callback, on the slot builder that
+# took one
+
+class ClosureViolation(RinglabError):
+    """An H_(s,t) product left the family."""
+
+
+def _slot_ring(name, slots, mul_slots, one, label, meta):
+    """The ring on mixed-radix tuples of slots; `mul_slots(*digits)`, given
+    the digit vector of every slot over all elements, yields the product's
+    slot tables."""
+    dims = [len(A) for A, _ in slots]
+    check_size(name, math.prod(dims))
+    digs = _digit_grids(dims)
+    add = _encode_slots((_pair(A, d, d) for (A, _), d in zip(slots, digs)), dims)
+    mul = _encode_slots(mul_slots(*digs), dims)
+    labels = (label(*d) for d in itertools.product(*map(range, dims)))
+    return _validated(name, encode_digits([z for _, z in slots], dims), encode_digits(one, dims),
+                      add, mul, labels, {**meta, "dims": dims})
+
+
+def old_direct_product(parts):
+    return _slot_ring(
+        "x".join(R.name for R in parts), [(R.np_add, R.zero) for R in parts],
+        lambda *digs: (_pair(R.np_mul, d, d) for R, d in zip(parts, digs)),
+        [R.one for R in parts],
+        lambda *ds: "(" + ",".join(R.label(d) for R, d in zip(parts, ds)) + ")",
+        {"kind": "product", "bases": tuple(parts),
+         "delta_digits": tuple(range(len(parts))), "delta_relation": "eq"})
+
 
 def _sum_of_products(A, M, pairs):
     acc = None
@@ -222,6 +258,16 @@ def bases():
         construct("T(2,Zn(2))")]
 
 
+def test_direct_products_match_the_oracle(bases):
+    built = 0
+    for k in (2, 3):
+        for parts in itertools.product(bases, repeat=k):
+            if math.prod(R.order for R in parts) <= FIT:
+                _agree(lambda: direct_product(parts), lambda: old_direct_product(parts))
+                built += 1
+    assert built == 64 + 512
+
+
 def test_matrix_and_triangular_rings_match_the_oracle(bases):
     built = 0
     for R in bases:
@@ -289,14 +335,13 @@ def test_morita_contexts_match_the_oracle(bases):
     assert min(verdicts.values()) >= 40, verdicts
 
 
-def test_hst_closure_guard_catches_a_non_central_unit(monkeypatch):
-    """With the argument check off, H_(s,t) over T(2,Zn(2)) with the
-    non-central unit [[1,1],[0,1]] leaves the family, and the guard says so."""
+def test_hst_refuses_a_non_central_unit():
+    """The unit [[1,1],[0,1]] of T(2,Zn(2)) is not central: refused as s and
+    as t."""
     R = construct("T(2,Zn(2))")
-    s = 7                          # digits (1, 1, 1): [[1,1],[0,1]]
-    assert (units_mask(R) >> s) & 1 and not is_central(R, s)
-    monkeypatch.setattr(constructions, "_require_central_unit", lambda *args: None)
-    with pytest.raises(ClosureViolation):
-        hst_ring(R, s, R.one)
-    with pytest.raises(ClosureViolation):
-        hst_ring(R, R.one, s)
+    u = 7                          # digits (1, 1, 1): [[1,1],[0,1]]
+    assert (units_mask(R) >> u) & 1 and not is_central(R, u)
+    with pytest.raises(NotCentralUnit, match="s=7 is not central"):
+        hst_ring(R, u, R.one)
+    with pytest.raises(NotCentralUnit, match="t=7 is not central"):
+        hst_ring(R, R.one, u)

@@ -33,7 +33,7 @@ def test_corpus_expression_list():
 
 def test_corpus_at_file(tmp_path):
     f = tmp_path / "corpus.txt"
-    f.write_text("Zn(4)\n# comment\nT(2,Zn(2))\n")
+    f.write_text("Zn(4)\n# comment\n  # indented comment\nT(2,Zn(2))\n")
     spec, members = build_corpus(f"@{f}")
     assert [m.ring.order for m in members] == [4, 8]
 
